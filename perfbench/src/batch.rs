@@ -42,11 +42,22 @@ impl Job<'_> {
     }
 
     /// Runs `hide` (or `hide --stream`) once and returns the run and the
-    /// release bytes it wrote.
-    pub fn hide(&self, out: &Path, stream: bool) -> Result<(Run, Vec<u8>), String> {
+    /// release bytes it wrote. The outer error is the benchmark's own (the
+    /// run could not be measured); the inner one is seqhide's (a non-zero
+    /// exit or no release), a failed operation.
+    pub fn hide(&self, out: &Path, stream: bool) -> Result<(Run, Result<Vec<u8>, String>), String> {
         let run = child::run(self.bin, &self.args(out, stream))?;
-        let bytes = std::fs::read(out).map_err(|e| format!("reading {}: {e}", out.display()))?;
-        Ok((run, bytes))
+        let release = if run.code != 0 {
+            Err(format!(
+                "hide{} exited with {}: {}",
+                if stream { " --stream" } else { "" },
+                run.code,
+                run.stderr.trim()
+            ))
+        } else {
+            std::fs::read(out).map_err(|e| format!("reading {}: {e}", out.display()))
+        };
+        Ok((run, release))
     }
 }
 
@@ -87,29 +98,43 @@ pub fn measure(
             let _ = std::fs::remove_file(&out);
             tally.attempted += 1;
             let before = reference.time_ns();
-            let (run, bytes) = job.hide(&out, stream)?;
+            let (run, release) = job.hide(&out, stream)?;
             let speed = REFERENCE_NS / ((before + reference.time_ns()) / 2.0);
             b.reference_ns.push(REFERENCE_NS / speed);
-            let ok = match &first_release {
-                // Every later release must repeat the first byte for byte:
-                // in-memory = stream, and M1 identical across repetitions.
-                Some(first) => *first == bytes,
-                None => {
-                    let checked = check_release(&bytes, job.patterns, job.psi)
-                        .map_err(|e| format!("hide release: {e}"))?;
-                    if checked == 0 {
-                        return Err("the workload's release carries no Δ marks".into());
-                    }
-                    b.m1 = checked;
-                    first_release = Some(bytes.clone());
-                    stdout_m1(&run.stdout) == Some(checked)
+            let name = if stream { "--stream" } else { "in-memory" };
+            let bytes = match release {
+                Ok(bytes) => bytes,
+                Err(e) => {
+                    tally.fail(e);
+                    continue;
                 }
             };
-            if !ok {
-                tally.fail(format!(
-                    "{} release differs from the first release (or its M1 line)",
-                    if stream { "--stream" } else { "in-memory" }
-                ));
+            let problem = match &first_release {
+                // Every later release must repeat the first byte for byte:
+                // in-memory = stream, and M1 identical across repetitions.
+                Some(first) => (*first != bytes)
+                    .then(|| format!("{name} release differs from the first release")),
+                None => {
+                    // Kept whatever its check says, so every later release
+                    // is still compared with it.
+                    first_release = Some(bytes.clone());
+                    match check_release(&bytes, job.patterns, job.psi) {
+                        Err(e) => Some(format!("{name} release: {e}")),
+                        Ok(0) => Some(format!("{name} release carries no Δ marks")),
+                        Ok(m1) => {
+                            b.m1 = m1;
+                            let printed = stdout_m1(&run.stdout);
+                            (printed != Some(m1)).then(|| {
+                                format!(
+                                    "{name} release has {m1} Δ marks, hide printed M1 {printed:?}"
+                                )
+                            })
+                        }
+                    }
+                }
+            };
+            if let Some(problem) = problem {
+                tally.fail(problem);
             }
             if stream {
                 b.stream_s.push(run.wall_s);

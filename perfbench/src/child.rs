@@ -39,11 +39,14 @@ pub fn build_seqhide(root: &Path) -> Result<PathBuf, String> {
     }
 }
 
-/// What one finished child run cost.
+/// What one finished child run cost, and how it ended.
 pub struct Run {
     pub wall_s: f64,
     pub peak_rss_mb: f64,
+    /// The program's exit code (`128 + signal` when killed).
+    pub code: u64,
     pub stdout: String,
+    pub stderr: String,
 }
 
 /// The flag that turns this binary into the measuring launcher.
@@ -51,8 +54,9 @@ pub const MEASURE_FLAG: &str = "--measure";
 /// Prefix of the launcher's report line on its stderr.
 const REPORT: &str = "perfbench-measure";
 
-/// Runs `program args` to completion, capturing stdout, and reports its
-/// wall time and peak resident set size.
+/// Runs `program args` to completion, capturing its output, and reports
+/// its wall time, peak resident set size and exit code. An error means
+/// the program could not be run and measured, not that it failed.
 ///
 /// The child is started by a fresh copy of this binary (see
 /// [`measure_main`]) rather than by the benchmark process itself: Linux
@@ -104,17 +108,19 @@ pub fn run(program: &Path, args: &[OsString]) -> Result<Run, String> {
     let [wall_ns, maxrss_kb, code] = nums[..] else {
         return Err(format!("malformed launcher report '{report}'"));
     };
-    if code != 0 || !status.success() {
-        return Err(format!(
-            "{} {args:?} exited with {code}: {}",
-            program.display(),
-            stderr.trim()
-        ));
+    if !status.success() {
+        return Err(format!("the measuring launcher exited with {status}"));
     }
     Ok(Run {
         wall_s: wall_ns as f64 / 1e9,
         peak_rss_mb: maxrss_kb as f64 / 1024.0,
+        code,
         stdout,
+        stderr: stderr
+            .lines()
+            .filter(|l| !l.starts_with(REPORT))
+            .collect::<Vec<_>>()
+            .join("\n"),
     })
 }
 

@@ -28,7 +28,7 @@ use seqhide::types::{Alphabet, Sequence, SequenceDb};
 use seqhide_obs::{Counter, Hist, Phase};
 
 use crate::batch::{check_release, intern_patterns, sensitive_set, Job};
-use crate::serve::{Op, Served, DATASET};
+use crate::serve::{Op, Served, DATASET, DELTA_BATCH};
 use crate::stats::median;
 use crate::workload::Rng;
 use crate::Tally;
@@ -251,10 +251,10 @@ pub fn batch_layers(
     while round < 3 || start.elapsed().as_secs_f64() < budget_s {
         tally.attempted += 1;
         let (run, released) = job.hide(&work.join("cli.txt"), false)?;
-        if let Err(e) = check_release(&released, patterns, psi) {
-            tally.fail(format!("hide release: {e}"));
+        match released.and_then(|r| check_release(&r, patterns, psi).map(|_| ())) {
+            Ok(()) => cli.push(run.wall_s * 1e9),
+            Err(e) => tally.fail(format!("hide release: {e}")),
         }
-        cli.push(run.wall_s * 1e9);
         // Untraced baseline: no spans, no obs recording.
         seqhide_obs::set_recording(false);
         let mut off = Tracer::new(false);
@@ -481,7 +481,7 @@ pub fn serve_layers(
 }
 
 /// Median `DeltaState::apply_delta` time for batches shaped like the
-/// server's (two additions, two removals).
+/// server's ([`DELTA_BATCH`] additions and as many removals).
 fn delta_apply_ns(
     text: &str,
     patterns: &[String],
@@ -498,12 +498,10 @@ fn delta_apply_ns(
     let mut rng = Rng::new(seed ^ 0xa991);
     let mut times = Vec::new();
     for k in 0..rounds.max(3) {
-        let added: Vec<Sequence> = (0..2)
-            .map(|j| Sequence::parse(&pool[(2 * k + j) % pool.len()], db.alphabet_mut()))
+        let added: Vec<Sequence> = (0..DELTA_BATCH)
+            .map(|j| Sequence::parse(&pool[(DELTA_BATCH * k + j) % pool.len()], db.alphabet_mut()))
             .collect();
-        let n = state.len();
-        let a = rng.below(n);
-        let removed = vec![a, (a + 1 + rng.below(n - 1)) % n];
+        let removed = rng.distinct(state.len(), DELTA_BATCH);
         let (r, ns) = time(|| state.apply_delta(&mut engine, SeqDelta { added, removed }));
         r?;
         times.push(ns);

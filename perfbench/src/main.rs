@@ -143,7 +143,13 @@ struct Live {
     batch: (PathBuf, Vec<String>, usize),
 }
 
-fn set_up(w: &Workload, seed: u64, bin: &Path, dir: &Path) -> Result<Live, String> {
+fn set_up(
+    w: &Workload,
+    seed: u64,
+    bin: &Path,
+    dir: &Path,
+    tally: &mut Tally,
+) -> Result<Live, String> {
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     let g = generate(&SERVED, subseed(seed, 2));
     let cli = generate(&w.batch, subseed(seed, 1));
@@ -155,7 +161,7 @@ fn set_up(w: &Workload, seed: u64, bin: &Path, dir: &Path) -> Result<Live, Strin
     let server = Server::start(bin, dir)?;
     let mut conn = Conn::open(server.addr)?;
     conn.call(&served.load_frame())?;
-    served.warm_up(&mut conn)?;
+    served.warm_up(&mut conn, tally)?;
     Ok(Live {
         server,
         conn,
@@ -179,11 +185,17 @@ const LADDER_STEPS: u32 = 2;
 /// one scheduling hiccup of the shared two-core box does not decide the
 /// rate.
 const LADDER_STEP_S: f64 = 2.5;
+/// Attempts a ladder rate gets to meet the limit. While the shared
+/// two-core box is busy, up to one attempt in five at 160 or 320 req/s
+/// runs late or misses the limit by a single stall; a server that cannot
+/// keep the rate misses every time.
+const RUNG_ATTEMPTS: usize = 3;
 
 /// Runs the workload and prints the report; `Ok(false)` when an output
 /// check failed.
 fn run(args: &Args, bin: &Path, work: &Path) -> Result<bool, String> {
     let w = args.workload;
+    let mut tally = Tally::default();
     let mut setups = Vec::new();
     let mut live = None;
     for k in 0..if args.trace { 1 } else { SETUPS } {
@@ -192,11 +204,16 @@ fn run(args: &Args, bin: &Path, work: &Path) -> Result<bool, String> {
             server.stop()?;
         }
         let t = Instant::now();
-        live = Some(set_up(w, args.seed, bin, &work.join(format!("setup{k}")))?);
+        live = Some(set_up(
+            w,
+            args.seed,
+            bin,
+            &work.join(format!("setup{k}")),
+            &mut tally,
+        )?);
         setups.push(t.elapsed().as_secs_f64());
     }
     let mut live = live.expect("at least one set-up ran");
-    let mut tally = Tally::default();
     let mut report = String::new();
     let serve_s = args.seconds * (1.0 - w.batch_share);
     let metrics = if args.trace {
@@ -237,7 +254,7 @@ fn check_mirror(
     path: &Path,
     tally: &mut Tally,
 ) -> Result<(), String> {
-    let served_release = live.served.release(&mut live.conn)?;
+    let served_release = live.served.release(&mut live.conn, tally)?;
     std::fs::write(path, live.served.mirror_text()).map_err(|e| e.to_string())?;
     let mirror_job = Job {
         bin,
@@ -248,10 +265,12 @@ fn check_mirror(
     };
     tally.attempted += 1;
     let (_, cli_release) = mirror_job.hide(&work.join("mirror-release.txt"), false)?;
-    if cli_release != served_release.as_bytes() {
-        tally.fail(
+    match (served_release, cli_release) {
+        (_, Err(e)) => tally.fail(format!("CLI hide of the mirror: {e}")),
+        (Some(served), Ok(cli)) if cli != served.as_bytes() => tally.fail(
             "served release after the delta stream differs from CLI hide of the mirror".into(),
-        );
+        ),
+        _ => {}
     }
     Ok(())
 }
@@ -278,16 +297,18 @@ fn untraced(
             args.seconds
         ));
     }
-    let mut steps = vec![nominal];
+    // Each step with the attempts it took.
+    let mut steps = vec![(nominal, 1)];
     for k in 1..=LADDER_STEPS {
         let rate = NOMINAL_RPS * f64::from(1u32 << k);
         let mut step = timed_step(live, rate, rung_s, tally)?;
-        if !step.valid() {
-            // The generator, not the server, missed the schedule: once more.
+        let mut attempts = 1;
+        while !step.meets_limit() && attempts < RUNG_ATTEMPTS {
             step = timed_step(live, rate, rung_s, tally)?;
+            attempts += 1;
         }
         let saturated = step.failed() > 0 || step.backlog_growing();
-        steps.push(step);
+        steps.push((step, attempts));
         if saturated {
             break;
         }
@@ -295,7 +316,7 @@ fn untraced(
     let mirror = work.join("mirror.txt");
     check_mirror(live, bin, work, &mirror, tally)?;
 
-    let nominal = &steps[0];
+    let nominal = &steps[0].0;
     let reads = nominal.rtts(|op| op != Op::Delta);
     let writes = nominal.rtts(|op| op == Op::Delta);
     let (read_pct, read_tail) = tail(&reads).unwrap_or((0.0, 0.0));
@@ -309,6 +330,7 @@ fn untraced(
     m.insert("write_tail_ms".into(), (write_tail, "ms"));
     let best = steps
         .iter()
+        .map(|(s, _)| s)
         .filter(|s| s.meets_limit())
         .map(|s| s.achieved_rps)
         .fold(0.0, f64::max);
@@ -376,20 +398,12 @@ fn untraced(
         write_tail
     );
     let _ = writeln!(report, "  rate ladder (limit: read tail <= {LATENCY_LIMIT_MS} ms, no growing backlog, lag p99 <= {} ms):", serve::LAG_LIMIT_MS);
-    for s in &steps {
-        if std::env::var_os("PB_DEBUG").is_some() {
-            for x in s.samples.iter().filter(|x| x.rtt_ms > 30.0) {
-                eprintln!(
-                    "  slow @{} {:?} due {:.3} rtt {:.1} lag {:.2}",
-                    s.rate, x.op, x.due_s, x.rtt_ms, x.lag_ms
-                );
-            }
-        }
+    for (s, attempts) in &steps {
         let reads = s.rtts(|op| op != Op::Delta);
         let (pct, t) = tail(&reads).unwrap_or((0.0, 0.0));
         let _ = writeln!(
             report,
-            "    {:>6} req/s offered, {:>8.1} achieved: {} sent, {} failed, read p50 {:.2} ms p{pct} {:.2} ms, lag p99 {:.3} ms, backlog {}, {}",
+            "    {:>6} req/s offered (attempt {attempts}), {:>8.1} achieved: {} sent, {} failed, read p50 {:.2} ms p{pct} {:.2} ms, lag p99 {:.3} ms, backlog {}, {}",
             s.rate,
             s.achieved_rps,
             s.attempted,

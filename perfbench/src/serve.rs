@@ -18,11 +18,13 @@ use seqhide::serve::json::{self, Json};
 
 use crate::stats::{median, quantile, tail};
 use crate::workload::Rng;
+use crate::Tally;
 
 /// Connections the generator drives; the server runs this many workers.
 pub const CONNECTIONS: usize = 2;
 /// The nominal open-loop rate, requests per second over both
-/// connections; the rate ladder doubles from it.
+/// connections; the rate ladder doubles from it. Assumed, as is the
+/// limit below: README.md gives the reasons.
 pub const NOMINAL_RPS: f64 = 80.0;
 /// The latency limit on `rtt_tail_ms` that `max_rate_rps` is judged by.
 pub const LATENCY_LIMIT_MS: f64 = 50.0;
@@ -214,10 +216,25 @@ impl Op {
     }
 }
 
-/// Sequences an inline `sanitize` ships.
+/// Sequences an inline `sanitize` ships. Assumed: a tenth of the served
+/// dataset, so that decoding the request is a measurable part of it.
 const INLINE_SEQUENCES: usize = 50;
-/// Sequences each `delta` adds, and removes (so |D| stays fixed).
-const DELTA_BATCH: usize = 2;
+/// Sequences each `delta` adds, and removes (so |D| stays fixed): one of
+/// each, as `seqhide loadgen`'s mutation template sends.
+pub const DELTA_BATCH: usize = 1;
+
+/// The read mix: `seqhide loadgen`'s zipfian template weights (1/rank
+/// over its eight templates, here times 840), each template counted as
+/// the op that is served alike.
+const READ_MIX: [(Op, usize); 4] = [
+    // plain-hh, plain-rr, string-substitute: the loaded dataset.
+    (Op::Sanitize, 840 + 420 + 280),
+    (Op::Verify, 210),
+    // itemset, timed: the database inline.
+    (Op::Inline, 168 + 140),
+    // stats, health: small replies.
+    (Op::Stats, 120 + 105),
+];
 
 /// The served dataset as the client tracks it, and the request builder.
 pub struct Served {
@@ -308,13 +325,7 @@ impl Served {
                 m.push(("dataset", s(DATASET)));
             }
             Op::Delta => {
-                let mut remove: Vec<usize> = Vec::new();
-                while remove.len() < DELTA_BATCH {
-                    let o = self.rng.below(self.mirror.len());
-                    if !remove.contains(&o) {
-                        remove.push(o);
-                    }
-                }
+                let mut remove = self.rng.distinct(self.mirror.len(), DELTA_BATCH);
                 let add: Vec<String> = (0..DELTA_BATCH)
                     .map(|k| self.pool[(self.next_add + k) % self.pool.len()].clone())
                     .collect();
@@ -339,20 +350,24 @@ impl Served {
         obj(m)
     }
 
-    /// Draws the next op for connection `conn`: every `delta` goes over
+    /// Draws the next op for connection `conn`. Every `delta` goes over
     /// connection 0 so the server applies them in the order the mirror
-    /// did. Overall: 40% sanitize, 10% inline, 20% verify, 20% stats and
-    /// 10% delta.
+    /// did; one in five of its requests is one, 10% of all (assumed:
+    /// loadgen sends deltas only when asked to). The rest follow
+    /// [`READ_MIX`]. Overall: 60.7% sanitize, 12.1% inline, 8.3% verify,
+    /// 8.9% stats and 10% delta.
     fn draw(&mut self, conn: usize) -> Op {
         if conn == 0 && self.rng.below(5) == 0 {
             return Op::Delta;
         }
-        match self.rng.below(9) {
-            0..=3 => Op::Sanitize,
-            4 => Op::Inline,
-            5 | 6 => Op::Verify,
-            _ => Op::Stats,
+        let mut k = self.rng.below(READ_MIX.iter().map(|(_, w)| w).sum());
+        for (op, w) in READ_MIX {
+            if k < w {
+                return op;
+            }
+            k -= w;
         }
+        unreachable!("the draw is below the weights' sum")
     }
 
     /// The schedule of one step at `rate` requests per second overall,
@@ -386,29 +401,50 @@ impl Served {
         }
     }
 
-    /// Runs one sequential request of each type and records the inline
-    /// release every later inline reply must repeat.
-    pub fn warm_up(&mut self, conn: &mut Conn) -> Result<(), String> {
+    /// Runs one sequential request of each type, counted in `tally`, and
+    /// records the inline release every later inline reply must repeat.
+    pub fn warm_up(&mut self, conn: &mut Conn, tally: &mut Tally) -> Result<(), String> {
         for op in Op::ALL {
+            tally.attempted += 1;
             let line = conn.call_line(&self.frame(op))?;
+            let mut problem = check(op, &line, &self.expect()).err();
             if op == Op::Inline {
-                let release = release_of(&line)?;
-                crate::batch::check_release(release.as_bytes(), &self.patterns, self.psi)
-                    .map_err(|e| format!("inline release: {e}"))?;
-                // Kept as the escaped JSON text the server sends.
-                let raw = Json::Str(release).render();
-                self.inline_release = Some(raw[1..raw.len() - 1].to_string());
+                if let Ok(release) = release_of(&line) {
+                    if let Err(e) =
+                        crate::batch::check_release(release.as_bytes(), &self.patterns, self.psi)
+                    {
+                        problem.get_or_insert(format!("inline release: {e}"));
+                    }
+                    // Kept whatever its check says, so every later inline
+                    // reply is still compared with it; as the escaped JSON
+                    // text the server sends.
+                    let raw = Json::Str(release).render();
+                    self.inline_release = Some(raw[1..raw.len() - 1].to_string());
+                }
             }
-            check(op, &line, &self.expect())?;
+            if let Some(e) = problem {
+                tally.fail(e);
+            }
         }
         Ok(())
     }
 
-    /// The dataset's current release, from one sequential `sanitize`.
-    pub fn release(&mut self, conn: &mut Conn) -> Result<String, String> {
+    /// The dataset's current release, from one sequential `sanitize`
+    /// counted in `tally`; `None` when the reply failed its check.
+    pub fn release(
+        &mut self,
+        conn: &mut Conn,
+        tally: &mut Tally,
+    ) -> Result<Option<String>, String> {
+        tally.attempted += 1;
         let line = conn.call_line(&self.frame(Op::Sanitize))?;
-        check(Op::Sanitize, &line, &self.expect())?;
-        release_of(&line)
+        match check(Op::Sanitize, &line, &self.expect()).and_then(|_| release_of(&line)) {
+            Ok(release) => Ok(Some(release)),
+            Err(e) => {
+                tally.fail(e);
+                Ok(None)
+            }
+        }
     }
 }
 
@@ -842,6 +878,63 @@ mod tests {
         );
     }
 
+    /// A stub server that answers every op `ok`, hidden, with a dataset
+    /// of four sequences, and an inline `sanitize` with the very database
+    /// it was sent: a release that leaks every pattern.
+    fn leaky_stub() -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let (sock, _) = listener.accept().unwrap();
+            let mut w = sock.try_clone().unwrap();
+            let mut r = BufReader::new(sock);
+            let mut line = String::new();
+            while r.read_line(&mut line).unwrap_or(0) > 0 {
+                let req = json::parse(line.trim_end()).unwrap();
+                let release = req.get("db").and_then(Json::as_str).unwrap_or("Δ b\n");
+                let zero = || Json::Arr(vec![Json::num(0)]);
+                let reply = obj(vec![
+                    ("status", s("ok")),
+                    ("hidden", Json::Bool(true)),
+                    ("supports", zero()),
+                    ("residual_supports", zero()),
+                    ("sequences", Json::num(4)),
+                    ("timings", Json::Obj(vec![])),
+                    ("release", s(release)),
+                ]);
+                w.write_all(reply.as_bytes()).unwrap();
+                line.clear();
+            }
+        });
+        (addr, handle)
+    }
+
+    /// A leaking release is a failed operation, not an error of the
+    /// benchmark: it lands in `failed`, and the warm-up goes on.
+    #[test]
+    fn a_leaking_release_ends_in_failed() {
+        let (addr, server) = leaky_stub();
+        let mut served = Served::new(
+            "a b\na b\na b\nc c\n",
+            vec!["a b".into()],
+            1,
+            0,
+            vec!["c a".into()],
+        );
+        let mut tally = Tally::default();
+        served
+            .warm_up(&mut Conn::open(addr).unwrap(), &mut tally)
+            .unwrap();
+        server.join().unwrap();
+        assert_eq!(tally.attempted, Op::ALL.len() as u64);
+        assert_eq!(tally.failed, 1, "{:?}", tally.errors);
+        assert!(
+            tally.errors[0].starts_with("inline release: not hidden"),
+            "{:?}",
+            tally.errors
+        );
+    }
+
     #[test]
     fn a_slow_late_half_is_a_growing_backlog() {
         let mk = |due_s: f64, rtt_ms: f64| Sample {
@@ -892,6 +985,11 @@ mod tests {
         let frame = s.frame(Op::Delta);
         assert!(frame.ends_with('\n') && frame.contains("\"remove\":["));
         assert_eq!(s.mirror.len(), 4);
-        assert_eq!(&s.mirror[2..], ["c c", "b b"]);
+        assert_eq!(s.mirror[3], "c c");
+        let kept: Vec<&str> = ["a b", "b c", "c a", "a c"]
+            .into_iter()
+            .filter(|l| s.mirror[..3].contains(&l.to_string()))
+            .collect();
+        assert_eq!(kept, s.mirror[..3], "survivors keep their order");
     }
 }

@@ -164,6 +164,18 @@ impl Rng {
     pub fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
     }
+
+    /// `k` distinct values of `0..n` (`k <= n`), in draw order.
+    pub fn distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut out = Vec::with_capacity(k);
+        while out.len() < k {
+            let v = self.below(n);
+            if !out.contains(&v) {
+                out.push(v);
+            }
+        }
+        out
+    }
 }
 
 pub fn generate(spec: &DataSpec, seed: u64) -> Generated {
