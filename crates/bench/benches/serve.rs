@@ -31,6 +31,7 @@ fn main() {
         queue_depth: 64,
         metrics_addr: None,
         data_dir: None,
+        tenants: None,
     })
     .expect("bind bench server");
     let addr = server.local_addr();
@@ -46,6 +47,8 @@ fn main() {
         sequences: 64,
         dataset: None,
         delta_fraction: 0.0,
+        tenants: 0,
+        hog_fraction: 0.0,
     };
     eprintln!(
         "serve bench: {} client(s) against {} worker(s) for {:?}",

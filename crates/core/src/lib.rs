@@ -71,7 +71,7 @@ pub use index::SupporterIndex;
 pub use local::{sanitize_victim, EngineMode, LocalStrategy};
 pub use metrics::{distortion, DistortionReport};
 pub use problem::{DisclosureThresholds, HidingProblem};
-pub use sanitizer::{parse_algorithm, SanitizeReport, Sanitizer};
+pub use sanitizer::{parse_algorithm, PlainVisitor, SanitizeReport, Sanitizer};
 pub use seqhide_match::{PatternDomain, ScratchDomain};
 pub use stream::StreamReport;
 pub use timed::TimedDomain;

@@ -8,7 +8,7 @@ use seqhide_match::{
 };
 use seqhide_num::{BigCount, Sat64};
 use seqhide_obs::{self as obs, Phase};
-use seqhide_types::SequenceDb;
+use seqhide_types::{Sequence, SequenceDb};
 
 use crate::global::{select_victims, GlobalStrategy};
 use crate::index::SupporterIndex;
@@ -58,6 +58,18 @@ pub fn parse_algorithm(name: &str) -> Option<(LocalStrategy, GlobalStrategy)> {
         "rr" => Some((LocalStrategy::Random, GlobalStrategy::Random)),
         _ => None,
     }
+}
+
+/// A computation generic over the plain-pattern domain a [`Sanitizer`]
+/// selects — see [`Sanitizer::visit_plain`].
+pub trait PlainVisitor {
+    /// What the computation returns.
+    type Output;
+
+    /// Runs the computation; `make` builds the selected domain (once per
+    /// worker, where the computation fans out over threads).
+    fn visit<D: PatternDomain<Seq = Sequence>>(self, make: &(dyn Fn() -> D + Sync))
+        -> Self::Output;
 }
 
 /// The configurable two-level sanitizer.
@@ -211,19 +223,31 @@ impl Sanitizer {
     /// [`Sanitizer::run_domain_threaded`], the same generic driver every
     /// other pattern class uses.
     pub fn run(&self, db: &mut SequenceDb, sh: &SensitiveSet) -> SanitizeReport {
+        struct Run<'a>(&'a Sanitizer, &'a mut [Sequence]);
+        impl PlainVisitor for Run<'_> {
+            type Output = SanitizeReport;
+            fn visit<D: PatternDomain<Seq = Sequence>>(
+                self,
+                make: &(dyn Fn() -> D + Sync),
+            ) -> SanitizeReport {
+                self.0.run_domain_threaded(self.1, make)
+            }
+        }
+        self.visit_plain(sh, Run(self, db.sequences_mut()))
+    }
+
+    /// Hands `visitor` the plain-pattern domain this configuration
+    /// selects: [`MatchEngine`] or [`ScratchDomain`]
+    /// ([`Sanitizer::with_engine`]) counting in [`Sat64`] or [`BigCount`]
+    /// ([`Sanitizer::with_exact_counts`]). Every arm is monomorphised, so
+    /// the marking loop never goes through dynamic dispatch. This is the
+    /// one place the four combinations are spelled out.
+    pub fn visit_plain<V: PlainVisitor>(&self, sh: &SensitiveSet, visitor: V) -> V::Output {
         match (self.exact, self.engine) {
-            (false, EngineMode::Incremental) => {
-                self.run_domain_threaded(db.sequences_mut(), &|| MatchEngine::<Sat64>::new(sh))
-            }
-            (true, EngineMode::Incremental) => {
-                self.run_domain_threaded(db.sequences_mut(), &|| MatchEngine::<BigCount>::new(sh))
-            }
-            (false, EngineMode::Scratch) => {
-                self.run_domain_threaded(db.sequences_mut(), &|| ScratchDomain::<Sat64>::new(sh))
-            }
-            (true, EngineMode::Scratch) => {
-                self.run_domain_threaded(db.sequences_mut(), &|| ScratchDomain::<BigCount>::new(sh))
-            }
+            (false, EngineMode::Incremental) => visitor.visit(&|| MatchEngine::<Sat64>::new(sh)),
+            (true, EngineMode::Incremental) => visitor.visit(&|| MatchEngine::<BigCount>::new(sh)),
+            (false, EngineMode::Scratch) => visitor.visit(&|| ScratchDomain::<Sat64>::new(sh)),
+            (true, EngineMode::Scratch) => visitor.visit(&|| ScratchDomain::<BigCount>::new(sh)),
         }
     }
 
@@ -326,12 +350,10 @@ impl Sanitizer {
         sanitize_victim(domain, t, self.local, &mut rng)
     }
 
-    /// Sanitizes the selected victims, sequentially through `main` or —
-    /// when `make` is given, more than one thread is configured, and
-    /// there is more than one victim — across scoped worker threads, each
-    /// with its own `make()`-built domain. Returns the marks introduced
-    /// and the engine work performed (summed over worker domains; zero
-    /// for domains without an incremental engine).
+    /// Sanitizes the selected victims (database ordinals in selection
+    /// order) through [`Sanitizer::sanitize_rows`]. Returns the marks
+    /// introduced and the engine work performed: the worker domains'
+    /// when the victims fanned out, `main`'s otherwise.
     fn sanitize_victims_domain<D: PatternDomain>(
         &self,
         db: &mut [D::Seq],
@@ -339,39 +361,57 @@ impl Sanitizer {
         main: &mut D,
         make: Option<&(dyn Fn() -> D + Sync)>,
     ) -> (usize, EngineStats) {
-        let threads = self.resolved_threads();
         let label = main.progress_label();
         obs::progress::begin(label, victims.len() as u64);
+        let work: Vec<(usize, usize)> = victims.iter().copied().enumerate().collect();
+        let (marks, workers) = self.sanitize_rows(db, &work, main, make, label);
+        obs::progress::finish(label);
+        (marks, workers.unwrap_or_else(|| main.stats()))
+    }
+
+    /// Sanitizes `rows[slot]` for each `(ordinal, slot)` of `victims`,
+    /// `ordinal` being the victim's selection ordinal (its RNG key).
+    /// Runs sequentially through `main` unless `make` is given, more than
+    /// one thread is configured and there is more than one victim; then
+    /// the victims move out to scoped threads, each with its own
+    /// `make()`-built domain. The global heuristic hands victims over in
+    /// *ascending cost* order, so contiguous chunks would give the last
+    /// thread all the expensive sequences; striping by ordinal balances
+    /// the load instead. Returns the marks introduced and, when the work
+    /// fanned out, the worker domains' summed engine work.
+    pub(crate) fn sanitize_rows<D: PatternDomain>(
+        &self,
+        rows: &mut [D::Seq],
+        victims: &[(usize, usize)],
+        main: &mut D,
+        make: Option<&(dyn Fn() -> D + Sync)>,
+        label: &'static str,
+    ) -> (usize, Option<EngineStats>) {
+        let threads = self.resolved_threads();
         let make = match make {
             Some(make) if threads > 1 && victims.len() > 1 => make,
             _ => {
                 let mut marks = 0;
-                for (ordinal, &i) in victims.iter().enumerate() {
-                    marks += self.sanitize_one_domain(main, &mut db[i], ordinal);
+                for &(ordinal, slot) in victims {
+                    marks += self.sanitize_one_domain(main, &mut rows[slot], ordinal);
                     obs::progress::bump(label, 1);
                 }
-                obs::progress::finish(label);
-                return (marks, main.stats());
+                return (marks, None);
             }
         };
-        // Move the victim sequences out and fan the work out over scoped
-        // threads. The global heuristic hands victims over in *ascending
-        // cost* order, so contiguous chunks would give the last thread all
-        // the expensive sequences; striping (ordinal % threads) balances
-        // the load instead.
         let mut stripes: Vec<Vec<(usize, usize, D::Seq)>> =
             (0..threads).map(|_| Vec::new()).collect();
-        for (ordinal, &i) in victims.iter().enumerate() {
-            stripes[ordinal % threads].push((ordinal, i, std::mem::take(&mut db[i])));
+        for &(ordinal, slot) in victims {
+            stripes[ordinal % threads].push((ordinal, slot, std::mem::take(&mut rows[slot])));
         }
         let (marks, stats) = std::thread::scope(|scope| {
             let handles: Vec<_> = stripes
                 .iter_mut()
-                .map(|batch| {
+                .map(|stripe| {
                     scope.spawn(move || {
                         let mut marks = 0;
                         let mut domain = make();
-                        for (ordinal, _, t) in batch.iter_mut() {
+                        for (ordinal, _, t) in stripe.iter_mut() {
                             marks += self.sanitize_one_domain(&mut domain, t, *ordinal);
                             obs::progress::bump(label, 1);
                         }
@@ -389,12 +429,11 @@ impl Sanitizer {
             (marks, stats)
         });
         for stripe in stripes {
-            for (_, i, t) in stripe {
-                db[i] = t;
+            for (_, slot, t) in stripe {
+                rows[slot] = t;
             }
         }
-        obs::progress::finish(label);
-        (marks, stats)
+        (marks, Some(stats))
     }
 
     /// [`Sanitizer::sanitize_victims_domain`] for the plain pattern
@@ -406,24 +445,18 @@ impl Sanitizer {
         sh: &SensitiveSet,
         victims: &[usize],
     ) -> (usize, EngineStats) {
-        match (self.exact, self.engine) {
-            (false, EngineMode::Incremental) => {
-                let make = || MatchEngine::<Sat64>::new(sh);
-                self.sanitize_victims_domain(db.sequences_mut(), victims, &mut make(), Some(&make))
-            }
-            (true, EngineMode::Incremental) => {
-                let make = || MatchEngine::<BigCount>::new(sh);
-                self.sanitize_victims_domain(db.sequences_mut(), victims, &mut make(), Some(&make))
-            }
-            (false, EngineMode::Scratch) => {
-                let make = || ScratchDomain::<Sat64>::new(sh);
-                self.sanitize_victims_domain(db.sequences_mut(), victims, &mut make(), Some(&make))
-            }
-            (true, EngineMode::Scratch) => {
-                let make = || ScratchDomain::<BigCount>::new(sh);
-                self.sanitize_victims_domain(db.sequences_mut(), victims, &mut make(), Some(&make))
+        struct Victims<'a>(&'a Sanitizer, &'a mut [Sequence], &'a [usize]);
+        impl PlainVisitor for Victims<'_> {
+            type Output = (usize, EngineStats);
+            fn visit<D: PatternDomain<Seq = Sequence>>(
+                self,
+                make: &(dyn Fn() -> D + Sync),
+            ) -> (usize, EngineStats) {
+                self.0
+                    .sanitize_victims_domain(self.1, self.2, &mut make(), Some(make))
             }
         }
+        self.visit_plain(sh, Victims(self, db.sequences_mut(), victims))
     }
 
     /// Multiple per-pattern thresholds via the paper's trivial reduction:

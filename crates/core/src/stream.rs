@@ -23,8 +23,8 @@
 //! Both passes are generic over the pattern class: a [`PatternDomain`]
 //! supplies counting, marking, and verification; a [`StreamCodec`]
 //! supplies the line format. [`Sanitizer::run_streaming`] instantiates
-//! them for plain patterns; the CLI instantiates the same driver for
-//! itemset, timed, and regex databases.
+//! them for plain patterns; the serve crate's request pipeline
+//! instantiates the same driver for every other pattern class.
 //!
 //! **Why the output is byte-identical to the in-memory path.** Every
 //! victim draws from an RNG derived from `(seed, selection ordinal)`
@@ -47,17 +47,15 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
 use seqhide_data::stream::{PlainCodec, SeqReader, StreamCodec};
-use seqhide_match::{EngineStats, MatchEngine, PatternDomain, ScratchDomain, SensitiveSet};
-use seqhide_num::{BigCount, Sat64};
+use seqhide_match::{EngineStats, PatternDomain, SensitiveSet};
 use seqhide_obs::{self as obs, Gauge, Phase};
-use seqhide_types::Alphabet;
+use seqhide_types::{Alphabet, Sequence};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::index::SupporterIndex;
-use crate::local::EngineMode;
-use crate::sanitizer::{SanitizeReport, Sanitizer};
+use crate::sanitizer::{PlainVisitor, SanitizeReport, Sanitizer};
 use crate::verify::VerifyReport;
 
 /// Outcome of one streaming run: the same [`SanitizeReport`] the
@@ -88,8 +86,9 @@ impl StreamReport {
     }
 }
 
-/// Adapts a file path to the reader-factory contract of the `_from`
-/// entry points: each call reopens the file from the top.
+/// Adapts a file path to the reader-factory contract of
+/// [`Sanitizer::run_streaming_domain_from`]: each call reopens the file
+/// from the top.
 fn open_factory(input: &Path) -> impl Fn() -> io::Result<Box<dyn BufRead>> + '_ {
     move || Ok(Box::new(BufReader::new(File::open(input)?)) as Box<dyn BufRead>)
 }
@@ -115,56 +114,24 @@ impl Sanitizer {
         batch_size: usize,
         sink: &mut dyn Write,
     ) -> io::Result<StreamReport> {
-        self.run_streaming_from(&open_factory(input), alphabet, sh, batch_size, sink)
-    }
-
-    /// [`Sanitizer::run_streaming`] over any rewindable source: `open`
-    /// is called once per pass and must return a fresh reader over the
-    /// same bytes each time (a file reopen, a shard-store cursor, an
-    /// in-memory slice). This is what lets the serve registry stream
-    /// disk-backed datasets without materializing them to a temp file.
-    pub fn run_streaming_from(
-        &self,
-        open: &dyn Fn() -> io::Result<Box<dyn BufRead>>,
-        alphabet: &mut Alphabet,
-        sh: &SensitiveSet,
-        batch_size: usize,
-        sink: &mut dyn Write,
-    ) -> io::Result<StreamReport> {
-        match (self.exact_counts(), self.engine()) {
-            (false, EngineMode::Incremental) => self.run_streaming_domain_from(
-                open,
-                alphabet,
-                &PlainCodec,
-                &|| MatchEngine::<Sat64>::new(sh),
-                batch_size,
-                sink,
-            ),
-            (true, EngineMode::Incremental) => self.run_streaming_domain_from(
-                open,
-                alphabet,
-                &PlainCodec,
-                &|| MatchEngine::<BigCount>::new(sh),
-                batch_size,
-                sink,
-            ),
-            (false, EngineMode::Scratch) => self.run_streaming_domain_from(
-                open,
-                alphabet,
-                &PlainCodec,
-                &|| ScratchDomain::<Sat64>::new(sh),
-                batch_size,
-                sink,
-            ),
-            (true, EngineMode::Scratch) => self.run_streaming_domain_from(
-                open,
-                alphabet,
-                &PlainCodec,
-                &|| ScratchDomain::<BigCount>::new(sh),
-                batch_size,
-                sink,
-            ),
+        struct Stream<'a>(
+            &'a Sanitizer,
+            &'a Path,
+            &'a mut Alphabet,
+            usize,
+            &'a mut dyn Write,
+        );
+        impl PlainVisitor for Stream<'_> {
+            type Output = io::Result<StreamReport>;
+            fn visit<D: PatternDomain<Seq = Sequence>>(
+                self,
+                make: &(dyn Fn() -> D + Sync),
+            ) -> io::Result<StreamReport> {
+                let Stream(sanitizer, input, alphabet, batch_size, sink) = self;
+                sanitizer.run_streaming_domain(input, alphabet, &PlainCodec, make, batch_size, sink)
+            }
         }
+        self.visit_plain(sh, Stream(self, input, alphabet, batch_size, sink))
     }
 
     /// The generic two-pass streaming driver: any [`PatternDomain`]
@@ -200,8 +167,11 @@ impl Sanitizer {
         )
     }
 
-    /// [`Sanitizer::run_streaming_domain`] over any rewindable source
-    /// (see [`Sanitizer::run_streaming_from`] for the `open` contract).
+    /// [`Sanitizer::run_streaming_domain`] over any rewindable source:
+    /// `open` is called once per pass and must return a fresh reader over
+    /// the same bytes each time (a file reopen, a shard-store cursor, an
+    /// in-memory slice). This is what lets the serve registry stream
+    /// disk-backed datasets without materializing them to a temp file.
     pub fn run_streaming_domain_from<D, K>(
         &self,
         open: &dyn Fn() -> io::Result<Box<dyn BufRead>>,
@@ -253,15 +223,12 @@ impl Sanitizer {
         let mut batches = 0usize;
         let mut peak_batch_bytes = 0u64;
         let mut next_ordinal = 0usize;
-        let mut batch: Vec<(usize, D::Seq)> = Vec::with_capacity(batch_size);
+        let mut batch: Vec<D::Seq> = Vec::with_capacity(batch_size);
         loop {
             batch.clear();
             while batch.len() < batch_size {
                 match reader.next_record(codec, alphabet)? {
-                    Some(t) => {
-                        batch.push((next_ordinal, t));
-                        next_ordinal += 1;
-                    }
+                    Some(t) => batch.push(t),
                     None => break,
                 }
             }
@@ -269,29 +236,28 @@ impl Sanitizer {
                 break;
             }
             batches += 1;
-            let bytes: u64 = batch.iter().map(|(_, t)| codec.resident_bytes(t)).sum();
+            let bytes: u64 = batch.iter().map(|t| codec.resident_bytes(t)).sum();
             peak_batch_bytes = peak_batch_bytes.max(bytes);
             obs::gauge_max(Gauge::PeakResidentBatch, bytes);
 
-            let threads = self.resolved_threads();
-            if threads <= 1 {
-                for (ordinal, t) in batch.iter_mut() {
-                    if let Some(&sel) = selection_ordinal.get(ordinal) {
-                        marks += self.sanitize_one_domain(&mut main, t, sel);
-                        obs::progress::bump("sanitize (stream)", 1);
-                    }
-                }
-            } else {
-                stats_total += self.sanitize_batch_parallel(
-                    &mut batch,
-                    make,
-                    &selection_ordinal,
-                    threads,
-                    &mut marks,
-                );
-            }
+            let victims: Vec<(usize, usize)> = (0..batch.len())
+                .filter_map(|slot| {
+                    let sel = selection_ordinal.get(&(next_ordinal + slot))?;
+                    Some((*sel, slot))
+                })
+                .collect();
+            next_ordinal += batch.len();
+            let (batch_marks, workers) = self.sanitize_rows(
+                &mut batch,
+                &victims,
+                &mut main,
+                Some(make),
+                "sanitize (stream)",
+            );
+            marks += batch_marks;
+            stats_total += workers.unwrap_or_default();
 
-            for (_, t) in &batch {
+            for t in &batch {
                 for (pi, r) in residual.iter_mut().enumerate() {
                     if main.supports_pattern(t, pi) {
                         *r += 1;
@@ -322,58 +288,6 @@ impl Sanitizer {
             batches,
             peak_batch_bytes,
         })
-    }
-
-    /// Fans one batch's victims out over scoped threads, striped by
-    /// selection ordinal (the same balancing device as the in-memory
-    /// path). Per-victim RNGs keyed by selection ordinal make the result
-    /// independent of the striping.
-    fn sanitize_batch_parallel<D: PatternDomain>(
-        &self,
-        batch: &mut [(usize, D::Seq)],
-        make: &(dyn Fn() -> D + Sync),
-        selection_ordinal: &HashMap<usize, usize>,
-        threads: usize,
-        marks: &mut usize,
-    ) -> EngineStats {
-        let mut stripes: Vec<Vec<(usize, usize, D::Seq)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (slot, (ordinal, t)) in batch.iter_mut().enumerate() {
-            if let Some(&sel) = selection_ordinal.get(ordinal) {
-                stripes[sel % threads].push((sel, slot, std::mem::take(t)));
-            }
-        }
-        let (batch_marks, stats) = std::thread::scope(|scope| {
-            let handles: Vec<_> = stripes
-                .iter_mut()
-                .map(|stripe| {
-                    scope.spawn(move || {
-                        let mut marks = 0;
-                        let mut domain = make();
-                        for (sel, _, t) in stripe.iter_mut() {
-                            marks += self.sanitize_one_domain(&mut domain, t, *sel);
-                            obs::progress::bump("sanitize (stream)", 1);
-                        }
-                        (marks, domain.stats())
-                    })
-                })
-                .collect();
-            let mut marks = 0;
-            let mut stats = EngineStats::default();
-            for h in handles {
-                let (m, s) = h.join().expect("stream sanitizer thread panicked");
-                marks += m;
-                stats += s;
-            }
-            (marks, stats)
-        });
-        for stripe in stripes {
-            for (_, slot, t) in stripe {
-                batch[slot].1 = t;
-            }
-        }
-        *marks += batch_marks;
-        stats
     }
 }
 

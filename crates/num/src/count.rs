@@ -8,7 +8,7 @@
 /// zero — so that is the whole interface. Implementations:
 /// [`BigCount`](crate::BigCount) (exact), [`Sat64`](crate::Sat64) and
 /// [`Sat128`](crate::Sat128) (saturating).
-pub trait Count: Clone + Ord + std::fmt::Debug + std::fmt::Display {
+pub trait Count: Clone + Ord + std::fmt::Debug + std::fmt::Display + Send + 'static {
     /// The additive identity.
     fn zero() -> Self;
 

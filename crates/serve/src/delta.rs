@@ -3,8 +3,10 @@
 //!
 //! A `delta` request names a registered dataset, a batch of appended
 //! sequences (`add`) and retired ordinals (`remove`), and the same
-//! sanitize configuration a `sanitize` request carries. The server
-//! keeps one [`DeltaState`] **session** per dataset: the first delta
+//! [`JobSpec`] a `sanitize` request carries. The incremental state
+//! itself is the pipeline's [`DeltaJob`] (the one `hide --delta` uses);
+//! this module only caches it. The server keeps one **session** per
+//! dataset: the first delta
 //! under a given configuration builds it (full scan + sanitize — the
 //! cold path), every following delta with the same configuration
 //! reuses it and pays only for the touched sequences. The mutated
@@ -36,21 +38,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use seqhide_core::global::SupporterStat;
-use seqhide_core::timed::{TimeConstraints, TimeGap, TimedPattern};
-use seqhide_core::{
-    DeltaReport, DeltaState, EngineMode, GlobalStrategy, LocalStrategy, Sanitizer, SeqDelta,
-    SupporterIndex, TimedDomain,
-};
-use seqhide_match::itemset::ItemsetPattern;
-use seqhide_match::{
-    ConstraintSet, Gap, ItemsetMatchEngine, MatchEngine, ScratchDomain, SensitivePattern,
-    SensitiveSet,
-};
+use seqhide_core::{DeltaState, SupporterIndex};
 use seqhide_num::Sat64;
-use seqhide_string::{StringDomain, StringPattern};
-use seqhide_types::{Alphabet, ItemsetSequence, OpKind, Sequence, SequenceDb, TimedSequence};
+use seqhide_types::Sequence;
 
-use crate::exec::Mode;
+use crate::exec::{DeltaJob, JobSpec};
 use crate::registry::{DatasetRegistry, DatasetSnapshot};
 
 /// One fully-decoded `delta` request.
@@ -62,29 +54,9 @@ pub struct DeltaSpec {
     pub add: Vec<String>,
     /// 0-based ordinals (into the current database) to retire.
     pub remove: Vec<usize>,
-    /// The line format / pattern class.
-    pub mode: Mode,
-    /// Sensitive patterns, in `mode`'s pattern syntax.
-    pub patterns: Vec<String>,
-    /// Disclosure threshold ψ.
-    pub psi: usize,
-    /// Local (position-choice) strategy.
-    pub local: LocalStrategy,
-    /// Global (sequence-choice) strategy.
-    pub global: GlobalStrategy,
-    /// RNG seed for the random strategies.
-    pub seed: u64,
-    /// Counting core for the marking loop.
-    pub engine: EngineMode,
-    /// Minimum gap between consecutive pattern elements.
-    pub min_gap: u64,
-    /// Maximum gap, if constrained.
-    pub max_gap: Option<u64>,
-    /// Maximum whole-match window, if constrained.
-    pub max_window: Option<u64>,
-    /// Distortion operator family (`substitute` is rejected; see the
-    /// module docs).
-    pub op: OpKind,
+    /// What to hide and how (`regexes` and `exact` stay unset: the wire
+    /// does not accept them for deltas).
+    pub job: JobSpec,
     /// Whether the response should carry the full post-delta release.
     pub want_release: bool,
 }
@@ -130,34 +102,7 @@ struct Session {
     /// registry's current snapshot for the name (a `delta` replaces it;
     /// an `unload`/reload drops it).
     snapshot: Arc<DatasetSnapshot>,
-    state: AnyState,
-}
-
-/// The per-mode [`DeltaState`] plus everything needed to parse added
-/// lines and re-render the database: the session's own alphabet and
-/// pattern set (domains borrow these per apply — they are cheap views).
-enum AnyState {
-    Plain {
-        alphabet: Alphabet,
-        sh: SensitiveSet,
-        state: DeltaState<Sequence, Sat64>,
-    },
-    Itemset {
-        alphabet: Alphabet,
-        patterns: Vec<ItemsetPattern>,
-        state: DeltaState<ItemsetSequence, Sat64>,
-    },
-    Timed {
-        alphabet: Alphabet,
-        patterns: Vec<TimedPattern>,
-        state: DeltaState<TimedSequence, Sat64>,
-    },
-    String {
-        alphabet: Alphabet,
-        patterns: Vec<StringPattern>,
-        sigma_len: usize,
-        state: DeltaState<Sequence, Sat64>,
-    },
+    job: DeltaJob,
 }
 
 /// The server's delta sessions, one per dataset. One lock serializes
@@ -199,7 +144,6 @@ impl DeltaSessions {
         registry: &Arc<DatasetRegistry>,
         spec: &DeltaSpec,
     ) -> Result<DeltaOutcome, String> {
-        validate(spec)?;
         let mut sessions = self.inner.lock().expect("delta sessions poisoned");
         let snapshot = registry.get(&spec.dataset).ok_or_else(|| {
             format!(
@@ -219,8 +163,13 @@ impl DeltaSessions {
             Some(s) if s.fingerprint == fp && Arc::ptr_eq(&s.snapshot, &snapshot) => s,
             _ => build_session(registry, &snapshot, spec, fp)?,
         };
-        let (report, originals_text, release) = match session.state.apply(spec) {
-            Ok(applied) => applied,
+        let add = spec
+            .add
+            .iter()
+            .enumerate()
+            .map(|(i, l)| (i + 1, l.as_str()));
+        let report = match session.job.apply(add, spec.remove.clone()) {
+            Ok(report) => report,
             Err(e) => {
                 // A refused batch (e.g. out-of-range ordinal) leaves the
                 // state untouched; keep the warm session.
@@ -228,6 +177,8 @@ impl DeltaSessions {
                 return Err(e);
             }
         };
+        let originals_text = session.job.text(false);
+        let release = spec.want_release.then(|| session.job.text(true));
         // The apply succeeded in memory; now move the registry forward.
         // On failure (size cap, concurrent unload) the session no longer
         // describes the registry's text, so it is dropped.
@@ -236,11 +187,14 @@ impl DeltaSessions {
             Some(current) => {
                 session.snapshot = current;
                 if let Some(dir) = registry.data_dir() {
-                    session.state.persist_index(
-                        &sqdi_path(dir, &spec.dataset),
-                        &session.fingerprint,
-                        info.version,
-                    );
+                    // Best effort: only plain sessions persist their index;
+                    // every other mode removes any stale sidecar so a
+                    // restart never warm-starts against the wrong text.
+                    let path = sqdi_path(dir, &spec.dataset);
+                    let _ = match session.job.plain_state() {
+                        Some(state) => write_sqdi(&path, &session.fingerprint, info.version, state),
+                        None => std::fs::remove_file(&path),
+                    };
                 }
                 sessions.insert(spec.dataset.clone(), session);
             }
@@ -268,94 +222,31 @@ impl DeltaSessions {
     }
 }
 
-fn validate(spec: &DeltaSpec) -> Result<(), String> {
-    if spec.patterns.is_empty() {
-        return Err("nothing to hide: give patterns".to_string());
-    }
-    if spec.op == OpKind::Substitute {
-        return Err(
-            "delta cannot replay op 'substitute': replacement symbols depend on \
-             alphabet interning order, which differs once added lines are interned \
-             after the patterns — use \"op\":\"mark\" or \"op\":\"delete\""
-                .to_string(),
-        );
-    }
-    if spec.op != OpKind::Mark && spec.mode != Mode::String {
-        return Err(format!(
-            "op '{}': this mode is hidden by Δ-marks only; edit operations \
-             (delete) need \"mode\":\"string\"",
-            spec.op.name()
-        ));
-    }
-    Ok(())
-}
-
 /// Canonical one-line rendering of everything that shapes the state; a
 /// mismatch forces a rebuild. `{:?}` escapes embedded newlines, so the
 /// fingerprint always fits the `.sqdi` sidecar's line format.
 fn fingerprint(spec: &DeltaSpec) -> String {
+    let job = &spec.job;
     format!(
         "mode={:?};patterns={:?};psi={};local={:?};global={:?};seed={};engine={:?};\
          min_gap={};max_gap={:?};max_window={:?};op={}",
-        spec.mode,
-        spec.patterns,
-        spec.psi,
-        spec.local,
-        spec.global,
-        spec.seed,
-        spec.engine,
-        spec.min_gap,
-        spec.max_gap,
-        spec.max_window,
-        spec.op.name()
+        job.mode,
+        job.patterns,
+        job.psi,
+        job.local,
+        job.global,
+        job.seed,
+        job.engine,
+        job.min_gap,
+        job.max_gap,
+        job.max_window,
+        job.op.name()
     )
 }
 
-fn sanitizer(spec: &DeltaSpec) -> Sanitizer {
-    Sanitizer::new(spec.local, spec.global, spec.psi)
-        .with_seed(spec.seed)
-        .with_exact_counts(false)
-        .with_engine(spec.engine)
-        .with_threads(1)
-}
-
-fn constraints(spec: &DeltaSpec) -> Result<ConstraintSet, String> {
-    let min = spec.min_gap as usize;
-    let max = spec.max_gap.map(|g| g as usize);
-    if let Some(max) = max {
-        if max < min {
-            return Err("max_gap must be ≥ min_gap".to_string());
-        }
-    }
-    let mut cs = if min == 0 && max.is_none() {
-        ConstraintSet::none()
-    } else {
-        ConstraintSet::uniform_gap(Gap { min, max })
-    };
-    cs.max_window = spec.max_window.map(|w| w as usize);
-    Ok(cs)
-}
-
-fn time_constraints(spec: &DeltaSpec) -> Result<TimeConstraints, String> {
-    if let Some(max) = spec.max_gap {
-        if max < spec.min_gap {
-            return Err("max_gap must be ≥ min_gap".to_string());
-        }
-    }
-    let mut tc = TimeConstraints::none();
-    if spec.min_gap > 0 || spec.max_gap.is_some() {
-        tc = TimeConstraints::uniform_gap(TimeGap {
-            min: spec.min_gap,
-            max: spec.max_gap,
-        });
-    }
-    tc.max_window = spec.max_window;
-    Ok(tc)
-}
-
-/// Builds a fresh session from the snapshot's text — the cold path:
-/// parse, intern patterns, full [`DeltaState::build`] (or a `.sqdi`
-/// warm start when one matches).
+/// Builds a fresh session from the snapshot's text — the cold path —
+/// or, for a plain job whose `.sqdi` sidecar matches, a warm start from
+/// the persisted index.
 fn build_session(
     registry: &Arc<DatasetRegistry>,
     snapshot: &Arc<DatasetSnapshot>,
@@ -363,271 +254,20 @@ fn build_session(
     fingerprint: String,
 ) -> Result<Session, String> {
     let text = snapshot.text()?;
-    let config = sanitizer(spec);
-    let state = match spec.mode {
-        Mode::Plain => {
-            let mut db = SequenceDb::parse(&text);
-            let cs = constraints(spec)?;
-            let mut patterns = Vec::new();
-            for text in &spec.patterns {
-                let seq = Sequence::parse(text, db.alphabet_mut());
-                patterns.push(
-                    SensitivePattern::new(seq, cs.clone())
-                        .map_err(|e| format!("pattern '{text}': {e}"))?,
-                );
-            }
-            let sh = SensitiveSet::from_patterns(patterns);
-            let originals = db.sequences().to_vec();
-            let warm = registry.data_dir().and_then(|dir| {
-                read_sqdi(
-                    &sqdi_path(dir, &spec.dataset),
-                    &fingerprint,
-                    snapshot.version(),
-                    originals.len(),
-                    spec.patterns.len(),
-                )
-            });
-            let state = match spec.engine {
-                EngineMode::Incremental => build_state(
-                    &config,
-                    &mut MatchEngine::<Sat64>::new(&sh),
-                    originals,
-                    warm,
-                ),
-                EngineMode::Scratch => build_state(
-                    &config,
-                    &mut ScratchDomain::<Sat64>::new(&sh),
-                    originals,
-                    warm,
-                ),
-            };
-            AnyState::Plain {
-                alphabet: db.alphabet().clone(),
-                sh,
-                state,
-            }
-        }
-        Mode::Itemset => {
-            let (mut alphabet, db) = seqhide_data::io::parse_itemset_db(&text);
-            let cs = constraints(spec)?;
-            let mut patterns = Vec::new();
-            for text in &spec.patterns {
-                let elements: Vec<seqhide_types::Itemset> = text
-                    .split_whitespace()
-                    .map(|elem| {
-                        seqhide_types::Itemset::new(
-                            elem.split(',')
-                                .filter(|w| !w.is_empty())
-                                .map(|w| alphabet.intern(w))
-                                .collect(),
-                        )
-                    })
-                    .collect();
-                let seq = ItemsetSequence::new(elements);
-                patterns.push(
-                    ItemsetPattern::new(seq, cs.clone())
-                        .map_err(|e| format!("pattern '{text}': {e}"))?,
-                );
-            }
-            let state = DeltaState::build(
-                &config,
-                &mut ItemsetMatchEngine::<Sat64>::new(&patterns),
-                db,
-            );
-            AnyState::Itemset {
-                alphabet,
-                patterns,
-                state,
-            }
-        }
-        Mode::Timed => {
-            let (mut alphabet, db) =
-                seqhide_data::io::parse_timed_db(&text).map_err(|e| e.to_string())?;
-            let tc = time_constraints(spec)?;
-            let mut patterns = Vec::new();
-            for text in &spec.patterns {
-                let seq = Sequence::parse(text, &mut alphabet);
-                patterns.push(
-                    TimedPattern::new(seq, tc.clone())
-                        .map_err(|e| format!("pattern '{text}': {e}"))?,
-                );
-            }
-            let state = DeltaState::build(&config, &mut TimedDomain::<Sat64>::new(&patterns), db);
-            AnyState::Timed {
-                alphabet,
-                patterns,
-                state,
-            }
-        }
-        Mode::String => {
-            let mut db = SequenceDb::parse(&text);
-            let mut patterns = Vec::new();
-            for text in &spec.patterns {
-                let seq = Sequence::parse(text, db.alphabet_mut());
-                patterns
-                    .push(StringPattern::new(seq).map_err(|e| format!("pattern '{text}': {e}"))?);
-            }
-            let sigma_len = db.alphabet().len();
-            let originals = db.sequences().to_vec();
-            let state = DeltaState::build(
-                &config,
-                &mut StringDomain::<Sat64>::new(&patterns, sigma_len).with_op(spec.op),
-                originals,
-            );
-            AnyState::String {
-                alphabet: db.alphabet().clone(),
-                patterns,
-                sigma_len,
-                state,
-            }
-        }
-    };
+    let warm = registry.data_dir().and_then(|dir| {
+        read_sqdi(
+            &sqdi_path(dir, &spec.dataset),
+            &fingerprint,
+            snapshot.version(),
+            snapshot.sequences() as usize,
+            spec.job.patterns.len(),
+        )
+    });
     Ok(Session {
         fingerprint,
         snapshot: Arc::clone(snapshot),
-        state,
+        job: DeltaJob::build(&spec.job, text, warm)?,
     })
-}
-
-fn build_state<D>(
-    config: &Sanitizer,
-    domain: &mut D,
-    originals: Vec<D::Seq>,
-    warm: Option<(SupporterIndex<Sat64>, Vec<usize>)>,
-) -> DeltaState<D::Seq, Sat64>
-where
-    D: seqhide_match::PatternDomain<Count = Sat64>,
-    D::Seq: Clone,
-{
-    match warm {
-        Some((index, residual)) => {
-            DeltaState::from_index(config, domain, originals, index, Some(residual))
-        }
-        None => DeltaState::build(config, domain, originals),
-    }
-}
-
-impl AnyState {
-    /// Parses the added lines, applies the batch, and re-renders both
-    /// the mutated originals (the registry's new text) and — when asked
-    /// — the release.
-    fn apply(&mut self, spec: &DeltaSpec) -> Result<(DeltaReport, String, Option<String>), String> {
-        let removed = spec.remove.clone();
-        match self {
-            AnyState::Plain {
-                alphabet,
-                sh,
-                state,
-            } => {
-                let added: Vec<Sequence> = spec
-                    .add
-                    .iter()
-                    .map(|l| Sequence::parse(l, alphabet))
-                    .collect();
-                let delta = SeqDelta { added, removed };
-                let report = match spec.engine {
-                    EngineMode::Incremental => {
-                        state.apply_delta(&mut MatchEngine::<Sat64>::new(sh), delta)
-                    }
-                    EngineMode::Scratch => {
-                        state.apply_delta(&mut ScratchDomain::<Sat64>::new(sh), delta)
-                    }
-                }?;
-                let text = render_plain(alphabet, state.originals());
-                let release = spec
-                    .want_release
-                    .then(|| render_plain(alphabet, state.released()));
-                Ok((report, text, release))
-            }
-            AnyState::Itemset {
-                alphabet,
-                patterns,
-                state,
-            } => {
-                let added: Vec<ItemsetSequence> = spec
-                    .add
-                    .iter()
-                    .map(|l| seqhide_data::io::parse_itemset_line(l, alphabet))
-                    .collect();
-                let delta = SeqDelta { added, removed };
-                let report =
-                    state.apply_delta(&mut ItemsetMatchEngine::<Sat64>::new(patterns), delta)?;
-                let text = seqhide_data::io::itemset_db_to_text(alphabet, state.originals());
-                let release = spec
-                    .want_release
-                    .then(|| seqhide_data::io::itemset_db_to_text(alphabet, state.released()));
-                Ok((report, text, release))
-            }
-            AnyState::Timed {
-                alphabet,
-                patterns,
-                state,
-            } => {
-                let mut added = Vec::new();
-                for (i, l) in spec.add.iter().enumerate() {
-                    added.push(
-                        seqhide_data::io::parse_timed_line(i + 1, l, alphabet)
-                            .map_err(|e| format!("\"add\": {e}"))?,
-                    );
-                }
-                let delta = SeqDelta { added, removed };
-                let report = state.apply_delta(&mut TimedDomain::<Sat64>::new(patterns), delta)?;
-                let text = seqhide_data::io::timed_db_to_text(alphabet, state.originals());
-                let release = spec
-                    .want_release
-                    .then(|| seqhide_data::io::timed_db_to_text(alphabet, state.released()));
-                Ok((report, text, release))
-            }
-            AnyState::String {
-                alphabet,
-                patterns,
-                sigma_len,
-                state,
-            } => {
-                let added: Vec<Sequence> = spec
-                    .add
-                    .iter()
-                    .map(|l| Sequence::parse(l, alphabet))
-                    .collect();
-                let delta = SeqDelta { added, removed };
-                let report = state.apply_delta(
-                    &mut StringDomain::<Sat64>::new(patterns, *sigma_len).with_op(spec.op),
-                    delta,
-                )?;
-                let text = render_plain(alphabet, state.originals());
-                let release = spec
-                    .want_release
-                    .then(|| render_plain(alphabet, state.released()));
-                Ok((report, text, release))
-            }
-        }
-    }
-
-    /// Best-effort `.sqdi` persistence after a successful delta: plain
-    /// mode writes the live index; every other mode removes any stale
-    /// sidecar so a restart never warm-starts against the wrong text.
-    fn persist_index(&self, path: &Path, fingerprint: &str, version: u64) {
-        match self {
-            AnyState::Plain { state, .. } => {
-                let _ = write_sqdi(path, fingerprint, version, state);
-            }
-            _ => {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-    }
-}
-
-/// Renders plain-format sequences as `SequenceDb::to_text` would
-/// (space-joined symbols, one line each, marks as `Δ`).
-fn render_plain(alphabet: &Alphabet, seqs: &[Sequence]) -> String {
-    let mut out = String::new();
-    for t in seqs {
-        let words: Vec<String> = t.iter().map(|&s| alphabet.render(s)).collect();
-        out.push_str(&words.join(" "));
-        out.push('\n');
-    }
-    out
 }
 
 fn sqdi_path(dir: &Path, name: &str) -> PathBuf {
@@ -754,24 +394,22 @@ fn read_sqdi(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Mode;
     use crate::registry::RegistryLimits;
+    use seqhide_core::Sanitizer;
+    use seqhide_match::{MatchEngine, SensitiveSet};
+    use seqhide_types::{OpKind, SequenceDb};
 
     fn spec(dataset: &str, add: &[&str], remove: &[usize]) -> DeltaSpec {
         DeltaSpec {
             dataset: dataset.to_string(),
             add: add.iter().map(|s| s.to_string()).collect(),
             remove: remove.to_vec(),
-            mode: Mode::Plain,
-            patterns: vec!["a c".to_string()],
-            psi: 1,
-            local: LocalStrategy::Heuristic,
-            global: GlobalStrategy::Heuristic,
-            seed: 0,
-            engine: EngineMode::default(),
-            min_gap: 0,
-            max_gap: None,
-            max_window: None,
-            op: OpKind::Mark,
+            job: JobSpec {
+                patterns: vec!["a c".to_string()],
+                psi: 1,
+                ..JobSpec::default()
+            },
             want_release: false,
         }
     }
@@ -804,19 +442,7 @@ mod tests {
         // ...and the release matches a fresh sanitize of that text.
         let fresh = crate::exec::sanitize(&crate::exec::SanitizeSpec {
             db: crate::exec::DbSource::from(text.as_ref()),
-            mode: Mode::Plain,
-            patterns: vec!["a c".to_string()],
-            regexes: vec![],
-            psi: 1,
-            local: LocalStrategy::Heuristic,
-            global: GlobalStrategy::Heuristic,
-            seed: 0,
-            engine: EngineMode::default(),
-            exact: false,
-            min_gap: 0,
-            max_gap: None,
-            max_window: None,
-            op: OpKind::Mark,
+            job: s.job.clone(),
         })
         .unwrap();
         assert_eq!(release, fresh.release);
@@ -840,7 +466,7 @@ mod tests {
         assert_eq!(out.sequences, 2);
         // a fingerprint change rebuilds rather than reuses
         let mut changed = spec("corp", &[], &[]);
-        changed.seed = 9;
+        changed.job.seed = 9;
         let out = sessions.execute(&registry, &changed).unwrap();
         assert_eq!(out.version, 4);
     }
@@ -857,17 +483,17 @@ mod tests {
         assert!(e.contains("unknown dataset 'ghost'"), "{e}");
 
         let mut s = spec("corp", &[], &[]);
-        s.patterns.clear();
+        s.job.patterns.clear();
         let e = sessions.execute(&registry, &s).unwrap_err();
         assert!(e.contains("nothing to hide"), "{e}");
 
         let mut s = spec("corp", &[], &[]);
-        s.op = OpKind::Substitute;
+        s.job.op = OpKind::Substitute;
         let e = sessions.execute(&registry, &s).unwrap_err();
         assert!(e.contains("substitute"), "{e}");
 
         let mut s = spec("corp", &[], &[]);
-        s.op = OpKind::Delete;
+        s.job.op = OpKind::Delete;
         let e = sessions.execute(&registry, &s).unwrap_err();
         assert!(e.contains("mode\":\"string"), "{e}");
 
@@ -885,10 +511,10 @@ mod tests {
         registry.load("corp", "inline", "a b c\na b d\n").unwrap();
         let sessions = DeltaSessions::new();
         let mut s = spec("corp", &["a b e"], &[]);
-        s.mode = Mode::String;
-        s.patterns = vec!["a b".to_string()];
-        s.psi = 0;
-        s.op = OpKind::Delete;
+        s.job.mode = Mode::String;
+        s.job.patterns = vec!["a b".to_string()];
+        s.job.psi = 0;
+        s.job.op = OpKind::Delete;
         s.want_release = true;
         let out = sessions.execute(&registry, &s).unwrap();
         assert!(out.hidden);

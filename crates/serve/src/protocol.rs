@@ -24,11 +24,12 @@
 //! no `--tenants` config the field is accepted and ignored; with one,
 //! it selects the tenant whose weight/quotas govern the request.
 //!
-//! Field names, defaults and error texts deliberately mirror the CLI
-//! (`seed` defaults to 0, `algorithm` to `hh`, `engine` to incremental,
-//! `mode` to plain), so a request with only `db`/`psi`/`patterns` set
-//! behaves exactly like the corresponding bare `seqhide hide` run.
-//! Unknown fields are rejected, as unknown flags are.
+//! `sanitize`, `verify` and `delta` decode their shared fields into one
+//! [`JobSpec`] — the job the CLI builds from its flags — with the CLI's
+//! defaults (`seed` 0, `algorithm` `hh`, `engine` incremental, `mode`
+//! plain), so a request with only `db`/`psi`/`patterns` set behaves
+//! exactly like the corresponding bare `seqhide hide` run. Unknown
+//! fields are rejected, as unknown flags are.
 //!
 //! `sanitize`/`verify`/`stats` take the database either inline (`db`)
 //! or by reference to a previously `load`ed dataset (`dataset`), so a
@@ -37,12 +38,9 @@
 //!
 //! The full specification with examples lives in `docs/SERVER.md`.
 
-use seqhide_core::{parse_algorithm, EngineMode};
-use seqhide_types::OpKind;
-
 use crate::delta::{DeltaOutcome, DeltaSpec};
 use crate::exec::{
-    DbSource, Mode, SanitizeOutcome, SanitizeSpec, StatsOutcome, VerifyOutcome, VerifySpec,
+    DbSource, JobSpec, Mode, SanitizeOutcome, SanitizeSpec, StatsOutcome, VerifyOutcome, VerifySpec,
 };
 use crate::json::{self, Json};
 use crate::registry::DatasetInfo;
@@ -210,34 +208,9 @@ fn decode_doc(doc: &Json) -> Result<Request, String> {
                     "delay_ms",
                 ],
             )?;
-            let algorithm = str_or(doc, "algorithm", "hh")?;
-            let (local, global) = parse_algorithm(&algorithm)
-                .ok_or_else(|| format!("unknown algorithm '{algorithm}' (hh|hr|rh|rr)"))?;
-            let engine = match opt_str(doc, "engine")? {
-                None => EngineMode::default(),
-                Some(v) => EngineMode::parse(&v)
-                    .ok_or_else(|| format!("unknown engine '{v}' (incremental|scratch)"))?,
-            };
-            let op = match opt_str(doc, "op")? {
-                None => OpKind::Mark,
-                Some(v) => OpKind::parse(&v)
-                    .ok_or_else(|| format!("unknown op '{v}' (mark|delete|substitute)"))?,
-            };
             let spec = SanitizeSpec {
                 db: db_source(doc)?,
-                mode: Mode::parse(opt_str(doc, "mode")?.as_deref())?,
-                patterns: str_list(doc, "patterns")?,
-                regexes: str_list(doc, "regexes")?,
-                psi: required_usize(doc, "psi")?,
-                local,
-                global,
-                seed: u64_or(doc, "seed", 0)?,
-                engine,
-                exact: bool_or(doc, "exact", false)?,
-                min_gap: u64_or(doc, "min_gap", 0)?,
-                max_gap: opt_u64(doc, "max_gap")?,
-                max_window: opt_u64(doc, "max_window")?,
-                op,
+                job: job_spec(doc)?,
             };
             let delay_ms = u64_or(doc, "delay_ms", 0)?;
             if delay_ms > MAX_DELAY_MS {
@@ -264,11 +237,7 @@ fn decode_doc(doc: &Json) -> Result<Request, String> {
             )?;
             Ok(Request::Verify(VerifySpec {
                 db: db_source(doc)?,
-                patterns: str_list(doc, "patterns")?,
-                psi: required_usize(doc, "psi")?,
-                min_gap: u64_or(doc, "min_gap", 0)?,
-                max_gap: opt_u64(doc, "max_gap")?,
-                max_window: opt_u64(doc, "max_window")?,
+                job: job_spec(doc)?,
             }))
         }
         "stats" => {
@@ -300,34 +269,11 @@ fn decode_doc(doc: &Json) -> Result<Request, String> {
                     "release",
                 ],
             )?;
-            let algorithm = str_or(doc, "algorithm", "hh")?;
-            let (local, global) = parse_algorithm(&algorithm)
-                .ok_or_else(|| format!("unknown algorithm '{algorithm}' (hh|hr|rh|rr)"))?;
-            let engine = match opt_str(doc, "engine")? {
-                None => EngineMode::default(),
-                Some(v) => EngineMode::parse(&v)
-                    .ok_or_else(|| format!("unknown engine '{v}' (incremental|scratch)"))?,
-            };
-            let op = match opt_str(doc, "op")? {
-                None => OpKind::Mark,
-                Some(v) => OpKind::parse(&v)
-                    .ok_or_else(|| format!("unknown op '{v}' (mark|delete|substitute)"))?,
-            };
             Ok(Request::Delta(DeltaSpec {
                 dataset: required_str(doc, "dataset")?,
                 add: str_list(doc, "add")?,
                 remove: usize_list_field(doc, "remove")?,
-                mode: Mode::parse(opt_str(doc, "mode")?.as_deref())?,
-                patterns: str_list(doc, "patterns")?,
-                psi: required_usize(doc, "psi")?,
-                local,
-                global,
-                seed: u64_or(doc, "seed", 0)?,
-                engine,
-                min_gap: u64_or(doc, "min_gap", 0)?,
-                max_gap: opt_u64(doc, "max_gap")?,
-                max_window: opt_u64(doc, "max_window")?,
-                op,
+                job: job_spec(doc)?,
                 want_release: bool_or(doc, "release", false)?,
             }))
         }
@@ -415,6 +361,29 @@ fn known_fields(doc: &Json, allowed: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
+/// Decodes the job fields `sanitize`, `verify` and `delta` share. Each
+/// op's `known_fields` list decides which of them it accepts; an absent
+/// field takes the CLI's default.
+fn job_spec(doc: &Json) -> Result<JobSpec, String> {
+    JobSpec {
+        mode: Mode::parse(opt_str(doc, "mode")?.as_deref())?,
+        patterns: str_list(doc, "patterns")?,
+        regexes: str_list(doc, "regexes")?,
+        psi: required_usize(doc, "psi")?,
+        seed: u64_or(doc, "seed", 0)?,
+        exact: bool_or(doc, "exact", false)?,
+        min_gap: u64_or(doc, "min_gap", 0)?,
+        max_gap: opt_u64(doc, "max_gap")?,
+        max_window: opt_u64(doc, "max_window")?,
+        ..JobSpec::default()
+    }
+    .with_names(
+        opt_str(doc, "algorithm")?.as_deref(),
+        opt_str(doc, "engine")?.as_deref(),
+        opt_str(doc, "op")?.as_deref(),
+    )
+}
+
 /// Decodes the database reference shared by `sanitize`/`verify`/
 /// `stats`: inline text in `db`, or a registered dataset's name in
 /// `dataset` — exactly one of the two.
@@ -441,10 +410,6 @@ fn opt_str(doc: &Json, key: &str) -> Result<Option<String>, String> {
             .map(|s| Some(s.to_string()))
             .ok_or_else(|| format!("\"{key}\" must be a string")),
     }
-}
-
-fn str_or(doc: &Json, key: &str, default: &str) -> Result<String, String> {
-    Ok(opt_str(doc, key)?.unwrap_or_else(|| default.to_string()))
 }
 
 fn str_list(doc: &Json, key: &str) -> Result<Vec<String>, String> {
@@ -967,6 +932,7 @@ pub fn shutting_down(id: &Option<Json>) -> String {
 mod tests {
     use super::*;
     use seqhide_core::{GlobalStrategy, LocalStrategy};
+    use seqhide_types::OpKind;
 
     #[test]
     fn sanitize_defaults_mirror_the_cli() {
@@ -975,14 +941,14 @@ mod tests {
         let Request::Sanitize { spec, delay_ms } = req.unwrap() else {
             panic!("wrong variant");
         };
-        assert_eq!(spec.mode, Mode::Plain);
-        assert_eq!(spec.seed, 0);
-        assert_eq!(spec.local, LocalStrategy::Heuristic);
-        assert_eq!(spec.global, GlobalStrategy::Heuristic);
-        assert!(!spec.exact);
-        assert_eq!(spec.min_gap, 0);
-        assert_eq!(spec.max_gap, None);
-        assert_eq!(spec.op, OpKind::Mark);
+        assert_eq!(spec.job.mode, Mode::Plain);
+        assert_eq!(spec.job.seed, 0);
+        assert_eq!(spec.job.local, LocalStrategy::Heuristic);
+        assert_eq!(spec.job.global, GlobalStrategy::Heuristic);
+        assert!(!spec.job.exact);
+        assert_eq!(spec.job.min_gap, 0);
+        assert_eq!(spec.job.max_gap, None);
+        assert_eq!(spec.job.op, OpKind::Mark);
         assert_eq!(delay_ms, 0);
     }
 
@@ -995,8 +961,8 @@ mod tests {
         let Request::Sanitize { spec, .. } = req.unwrap() else {
             panic!("wrong variant");
         };
-        assert_eq!(spec.mode, Mode::String);
-        assert_eq!(spec.op, OpKind::Substitute);
+        assert_eq!(spec.job.mode, Mode::String);
+        assert_eq!(spec.job.op, OpKind::Substitute);
 
         let (_, _, req) = decode(r#"{"type":"sanitize","db":"a\n","psi":0,"op":"shred"}"#);
         assert!(req
@@ -1015,12 +981,12 @@ mod tests {
         let Request::Sanitize { spec, delay_ms } = req.unwrap() else {
             panic!("wrong variant");
         };
-        assert_eq!(spec.seed, u64::MAX, "u64 seeds must not lose precision");
-        assert_eq!(spec.local, LocalStrategy::Random);
-        assert_eq!(spec.global, GlobalStrategy::Random);
-        assert!(spec.exact);
-        assert_eq!(spec.max_gap, Some(4));
-        assert_eq!(spec.max_window, Some(9));
+        assert_eq!(spec.job.seed, u64::MAX, "u64 seeds must not lose precision");
+        assert_eq!(spec.job.local, LocalStrategy::Random);
+        assert_eq!(spec.job.global, GlobalStrategy::Random);
+        assert!(spec.job.exact);
+        assert_eq!(spec.job.max_gap, Some(4));
+        assert_eq!(spec.job.max_window, Some(9));
         assert_eq!(delay_ms, 25);
     }
 
@@ -1147,10 +1113,10 @@ mod tests {
         assert_eq!(spec.dataset, "corp");
         assert_eq!(spec.add, vec!["a b".to_string(), "c".to_string()]);
         assert_eq!(spec.remove, vec![0, 3]);
-        assert_eq!(spec.psi, 1);
-        assert_eq!(spec.seed, 9);
-        assert_eq!(spec.local, LocalStrategy::Heuristic);
-        assert_eq!(spec.global, GlobalStrategy::Random);
+        assert_eq!(spec.job.psi, 1);
+        assert_eq!(spec.job.seed, 9);
+        assert_eq!(spec.job.local, LocalStrategy::Heuristic);
+        assert_eq!(spec.job.global, GlobalStrategy::Random);
         assert!(spec.want_release);
 
         let (_, _, req) = decode(r#"{"type":"delta","patterns":["a"],"psi":1}"#);

@@ -784,6 +784,8 @@ impl LoadStaging {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{DbSource, JobSpec, Mode, SanitizeSpec};
+    use seqhide_types::OpKind;
 
     fn mem_registry() -> Arc<DatasetRegistry> {
         let (registry, reattached) = DatasetRegistry::new(None, RegistryLimits::default()).unwrap();
@@ -923,6 +925,47 @@ mod tests {
         let mut again = String::new();
         io::Read::read_to_string(&mut reader, &mut again).unwrap();
         assert_eq!(again, text);
+        // Every mode sanitizes straight from the shard store, releasing
+        // byte for byte what the same text does inline — including the
+        // modes whose release depends on symbol interning order.
+        let cases = [
+            (Mode::Itemset, OpKind::Mark, ["a,b c d", "c a,c", "b,d a c"]),
+            (
+                Mode::Timed,
+                OpKind::Mark,
+                ["a@0 b@2 c@5", "c@1 a@3 c@4", "b@0 a@7 c@9"],
+            ),
+            (
+                Mode::String,
+                OpKind::Substitute,
+                ["d a c b", "a c a c", "b a c"],
+            ),
+        ];
+        for (i, (mode, op, lines)) in cases.into_iter().enumerate() {
+            let text = format!("{}\n", lines.join("\n")).repeat(7);
+            let name = format!("big-{i}");
+            registry.load(&name, "inline", &text).unwrap();
+            let snapshot = registry.get(&name).unwrap();
+            assert!(snapshot.streams_from_disk());
+            let job = JobSpec {
+                mode,
+                patterns: vec!["a c".to_string()],
+                psi: 4,
+                op,
+                ..JobSpec::default()
+            };
+            let sanitize = |db| {
+                crate::exec::sanitize(&SanitizeSpec {
+                    db,
+                    job: job.clone(),
+                })
+            };
+            let streamed = sanitize(DbSource::Dataset(snapshot)).unwrap();
+            let inline = sanitize(DbSource::from(text.as_str())).unwrap();
+            assert!(streamed.marks > 0, "{mode:?}");
+            assert_eq!(streamed.release, inline.release, "{mode:?}");
+            assert_eq!(streamed.residual_supports, inline.residual_supports);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

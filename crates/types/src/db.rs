@@ -50,6 +50,11 @@ impl SequenceDb {
         }
     }
 
+    /// Splits the database into its alphabet and sequences.
+    pub fn into_parts(self) -> (Alphabet, Vec<Sequence>) {
+        (self.alphabet, self.sequences)
+    }
+
     /// Parses a database from one whitespace-separated sequence per line.
     /// Blank lines and lines starting with `#` are skipped.
     ///

@@ -1,191 +1,185 @@
 //! `seqhide hide` — sanitize a database against sensitive patterns.
 //!
-//! One entry point, one dispatch: [`cmd_hide`] parses the shared
-//! [`HideConfig`], classifies the run into a [`Domain`] (which pattern
-//! class is being hidden), and routes it either through the in-memory
-//! sanitizer or the two-pass streaming pipeline. Every domain drives the
-//! same generic core — [`Sanitizer::run_domain_threaded`] in memory,
-//! [`Sanitizer::run_streaming_domain`] under `--stream` — so `--stream`,
-//! `--threads`, `--seed` and the four HH/HR/RH/RR algorithms behave
-//! identically across plain, itemset, timed, regex and string patterns.
+//! A thin adapter over the request pipeline ([`seqhide_serve::exec`]):
+//! the flags become a [`JobSpec`], and the run goes through
+//! [`exec::run`] in memory, [`exec::run_streaming`] under `--stream`, or
+//! an [`exec::DeltaJob`] under `--delta` — the same calls the server's
+//! `sanitize` and `delta` ops make. What stays here is what only the
+//! command line has: the edits-file syntax, the `--post` stage, the
+//! head lines and `--out`.
 //!
 //! `--op mark|delete|substitute` selects the distortion operator family
 //! ([`OpKind`]); only the substring domain (`--domain string`) accepts
 //! edit operations, every other domain is Δ-mark-only and rejects them
 //! up front.
 
-use std::io::Write;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use seqhide_core::timed::{TimeConstraints, TimeGap, TimedPattern};
-use seqhide_core::{
-    DeltaReport, DeltaState, EngineMode, GlobalStrategy, LocalStrategy, Sanitizer, SeqDelta,
-    StreamReport, TimedDomain,
-};
-use seqhide_data::stream::{ItemsetCodec, PlainCodec, SeqReader, TimedCodec};
-use seqhide_match::itemset::ItemsetPattern;
-use seqhide_match::{
-    ItemsetMatchEngine, MatchEngine, ScratchDomain, SensitivePattern, SensitiveSet,
-};
-use seqhide_num::{BigCount, Sat64};
-use seqhide_re::{sanitize_regex_db, RegexDomain, RegexPattern};
-use seqhide_string::{StringDomain, StringPattern};
-use seqhide_types::{Alphabet, ItemsetSequence, OpKind, Sequence, TimedSequence};
+use seqhide_core::SanitizeReport;
+use seqhide_serve::exec::{self, Family, JobSpec, Mode};
+use seqhide_types::OpKind;
 
 use super::flags::Flags;
-use super::{constraints, err, load_db, mode, read_text, sensitive_set, CliError};
+use super::{err, gap_flags, mode, read_text, CliError};
 
-/// Which pattern class a `hide` invocation targets. `--domain` names it
-/// directly; otherwise `--mode` picks the database line format
-/// (plain/itemset/timed), and within plain mode a run that gives only
-/// `--regex` patterns is the regex domain.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Domain {
-    Plain,
-    Itemset,
-    Timed,
-    Regex,
-    String,
-}
-
-impl Domain {
-    fn parse(flags: &Flags) -> Result<Domain, CliError> {
-        let inferred = mode(flags)?;
-        if let Some(v) = flags.one("domain") {
-            let domain = match v {
-                "plain" => Domain::Plain,
-                "itemset" => Domain::Itemset,
-                "timed" => Domain::Timed,
-                "regex" => Domain::Regex,
-                "string" => Domain::String,
-                other => {
-                    return Err(err(format!(
-                        "unknown domain '{other}' (plain|itemset|timed|regex|string)"
-                    )))
-                }
-            };
-            let line_format = match domain {
-                Domain::Plain | Domain::Regex | Domain::String => "plain",
-                Domain::Itemset => "itemset",
-                Domain::Timed => "timed",
-            };
-            if flags.one("mode").is_some() && inferred != line_format {
-                return Err(err(format!(
-                    "--domain {v} reads {line_format}-format input; drop --mode {inferred}"
-                )));
-            }
-            return Ok(domain);
+/// The line format `--domain` names, checked against `--mode` when both
+/// are given. `--domain regex` is plain mode with `--regex` patterns.
+fn domain_mode(flags: &Flags) -> Result<Mode, CliError> {
+    let inferred = mode(flags)?;
+    let Some(v) = flags.one("domain") else {
+        return Ok(inferred);
+    };
+    let (domain, line_format) = match v {
+        "plain" | "regex" => (Mode::Plain, "plain"),
+        "string" => (Mode::String, "plain"),
+        "itemset" => (Mode::Itemset, "itemset"),
+        "timed" => (Mode::Timed, "timed"),
+        other => {
+            return Err(err(format!(
+                "unknown domain '{other}' (plain|itemset|timed|regex|string)"
+            )))
         }
-        Ok(match inferred {
-            "itemset" => Domain::Itemset,
-            "timed" => Domain::Timed,
-            _ => {
-                if !flags.all("regex").is_empty() && flags.all("pattern").is_empty() {
-                    Domain::Regex
-                } else {
-                    Domain::Plain
-                }
-            }
-        })
+    };
+    let named = flags.one("mode").unwrap_or("plain");
+    if flags.one("mode").is_some() && named != line_format {
+        return Err(err(format!(
+            "--domain {v} reads {line_format}-format input; drop --mode {named}"
+        )));
     }
-
-    /// The head-line noun ("plain patterns: …").
-    fn noun(self) -> &'static str {
-        match self {
-            Domain::Plain => "plain patterns",
-            Domain::Itemset => "itemset patterns",
-            Domain::Timed => "timed patterns",
-            Domain::Regex => "regex patterns",
-            Domain::String => "string patterns",
-        }
-    }
-
-    /// What one distortion is called in the head line.
-    fn unit(self) -> &'static str {
-        match self {
-            Domain::Plain | Domain::Regex => "marks",
-            Domain::Itemset => "item marks",
-            Domain::Timed => "event marks",
-            Domain::String => "edits",
-        }
-    }
+    Ok(domain)
 }
 
-/// The `hide` configuration shared by the in-memory and streaming paths.
-struct HideConfig {
-    psi: usize,
-    seed: u64,
-    engine: EngineMode,
-    threads: usize,
-    local: LocalStrategy,
-    global: GlobalStrategy,
-    op: OpKind,
-}
-
-impl HideConfig {
-    fn parse(flags: &Flags) -> Result<Self, CliError> {
-        let psi = flags
-            .required("psi")?
-            .parse::<usize>()
-            .map_err(|_| err("--psi: not a number"))?;
-        let seed = flags.u64_or("seed", 0)?;
-        let engine = match flags.one("engine") {
-            None => EngineMode::default(),
-            Some(v) => EngineMode::parse(v)
-                .ok_or_else(|| err(format!("unknown engine '{v}' (incremental|scratch)")))?,
-        };
-        let threads = flags.usize_or("threads", 1)?;
-        let algorithm = flags.one("algorithm").unwrap_or("hh");
-        let (local, global) = seqhide_core::parse_algorithm(algorithm)
-            .ok_or_else(|| err(format!("unknown algorithm '{algorithm}' (hh|hr|rh|rr)")))?;
-        let op = match flags.one("op") {
-            None => OpKind::Mark,
-            Some(v) => OpKind::parse(v)
-                .ok_or_else(|| err(format!("unknown op '{v}' (mark|delete|substitute)")))?,
-        };
-        Ok(HideConfig {
-            psi,
-            seed,
-            engine,
-            threads,
-            local,
-            global,
-            op,
-        })
+/// The flags as a pipeline job.
+fn job_spec(flags: &Flags) -> Result<JobSpec, CliError> {
+    let psi = flags
+        .required("psi")?
+        .parse::<usize>()
+        .map_err(|_| err("--psi: not a number"))?;
+    let (min_gap, max_gap, max_window) = gap_flags(flags)?;
+    let job = JobSpec {
+        mode: domain_mode(flags)?,
+        patterns: flags.all("pattern").to_vec(),
+        regexes: flags.all("regex").to_vec(),
+        psi,
+        seed: flags.u64_or("seed", 0)?,
+        exact: flags.has("exact"),
+        min_gap,
+        max_gap,
+        max_window,
+        threads: flags.usize_or("threads", 1)?,
+        ..JobSpec::default()
     }
-
-    fn sanitizer(&self, exact: bool) -> Sanitizer {
-        Sanitizer::new(self.local, self.global, self.psi)
-            .with_seed(self.seed)
-            .with_exact_counts(exact)
-            .with_engine(self.engine)
-            .with_threads(self.threads)
-    }
-}
-
-pub(crate) fn cmd_hide(flags: &Flags) -> Result<String, CliError> {
-    let cfg = HideConfig::parse(flags)?;
-    let domain = Domain::parse(flags)?;
-    if cfg.op != OpKind::Mark && domain != Domain::String {
+    .with_names(flags.one("algorithm"), flags.one("engine"), flags.one("op"))
+    .map_err(err)?;
+    if job.op != OpKind::Mark && job.mode != Mode::String {
         return Err(err(format!(
             "--op {}: {} are hidden by Δ-marks only; edit operations \
              (delete|substitute) need the substring domain — did you mean --domain string?",
-            cfg.op.name(),
-            domain.noun()
+            job.op.name(),
+            job.family().noun()
         )));
     }
+    Ok(job)
+}
+
+pub(crate) fn cmd_hide(flags: &Flags) -> Result<String, CliError> {
+    let job = job_spec(flags)?;
+    let post = flags.one("post").unwrap_or("keep");
     if let Some(edits) = flags.one("delta") {
-        return hide_delta(flags, &cfg, domain, edits);
+        return hide_delta(flags, &job, post, edits);
     }
     if flags.has("stream") {
-        return cmd_hide_stream(flags, &cfg, domain);
+        return hide_stream(flags, &job, post);
     }
-    match domain {
-        Domain::Itemset => hide_itemset(flags, &cfg),
-        Domain::Timed => hide_timed(flags, &cfg),
-        Domain::String => hide_string(flags, &cfg),
-        Domain::Plain | Domain::Regex => hide_plain(flags, &cfg),
+    if job.mode == Mode::String && post != "keep" {
+        return Err(err(
+            "--domain string edits during sanitization (--op delete|substitute); \
+             --post delete/replace apply to Δ-marked plain-mode releases",
+        ));
     }
+    let mut resident = exec::run(&job, read_text(flags)?).map_err(err)?;
+    let mut out = String::new();
+    for (family, report) in resident.passes() {
+        out.push_str(&head_line(family, report));
+        if family == Family::Plain && flags.has("report") {
+            out.push_str(&engine_line(report));
+        }
+    }
+    match post {
+        "keep" => {}
+        "delete" => {
+            let rounds = resident.delete_marks().map_err(err)?;
+            out.push_str(&format!("post: deleted Δ ({rounds} round(s))\n"));
+        }
+        "replace" => {
+            let rep = resident.replace_marks().map_err(err)?;
+            out.push_str(&format!(
+                "post: replaced {} Δ, kept {}\n",
+                rep.replaced, rep.kept
+            ));
+        }
+        other => {
+            return Err(err(format!(
+                "unknown post strategy '{other}' (keep|delete|replace)"
+            )))
+        }
+    }
+    if job.mode == Mode::Plain {
+        let marks: usize = resident.passes().map(|(_, r)| r.marks_introduced).sum();
+        out.push_str(&format!("total marks (M1): {marks}\n"));
+    }
+    write_release(flags, &mut out, |sink| resident.write(sink))?;
+    if job.mode == Mode::Plain && flags.has("report") {
+        let (sequences, marks) = resident.shape();
+        out.push_str(&format!(
+            "released: {sequences} sequences, {marks} residual Δ\n"
+        ));
+    }
+    Ok(out)
+}
+
+fn head_line(family: Family, report: &SanitizeReport) -> String {
+    format!(
+        "{}: {} {} in {} sequences; residual supports {:?}\n",
+        family.noun(),
+        report.marks_introduced,
+        family.unit(),
+        report.sequences_sanitized,
+        report.residual_supports
+    )
+}
+
+fn engine_line(report: &SanitizeReport) -> String {
+    format!(
+        "engine: {} cell repairs, {} fallback recounts\n",
+        report.engine_repairs, report.fallback_recounts
+    )
+}
+
+/// Writes the release to `--out` (noting it in `out`) or appends it to
+/// `out`.
+fn write_release(
+    flags: &Flags,
+    out: &mut String,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(), CliError> {
+    match flags.one("out") {
+        Some(path) => {
+            let cannot = |e: io::Error| err(format!("cannot write {path}: {e}"));
+            let mut file = BufWriter::new(File::create(path).map_err(cannot)?);
+            write(&mut file).map_err(cannot)?;
+            file.flush().map_err(cannot)?;
+            out.push_str(&format!("wrote {path}\n"));
+        }
+        None => {
+            let mut body = Vec::new();
+            write(&mut body).expect("write to Vec cannot fail");
+            out.push_str(std::str::from_utf8(&body).expect("release text is UTF-8"));
+        }
+    }
+    Ok(())
 }
 
 /// Appended lines (tagged with their 1-based edits-file line number)
@@ -195,9 +189,9 @@ type Edits = (Vec<(usize, String)>, Vec<usize>);
 /// Parses the `--delta` edits file: `+ <sequence line>` appends a
 /// sequence (in the run's database line format), `- <n>` removes the
 /// 0-based data-line ordinal `n` from the current database; blank lines
-/// and `#` comments are skipped. The whole file is applied as one batch
-/// through [`DeltaState::apply_delta`]. Added lines carry their 1-based
-/// edits-file line number for error messages.
+/// and `#` comments are skipped. The whole file is applied as one batch.
+/// Added lines carry their 1-based edits-file line number for error
+/// messages.
 fn parse_edits(path: &str) -> Result<Edits, CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
@@ -229,627 +223,51 @@ fn parse_edits(path: &str) -> Result<Edits, CliError> {
     Ok((added, removed))
 }
 
-/// Builds a [`DeltaState`] over `originals` and applies the one edits
-/// batch. The released content is byte-identical to a full hide of the
-/// mutated database on the same seed (pinned by tests/delta.rs) — the
-/// delta path is only ever a faster route to the same release.
-fn run_delta<D>(
-    config: &Sanitizer,
-    domain: &mut D,
-    originals: Vec<D::Seq>,
-    added: Vec<D::Seq>,
-    removed: Vec<usize>,
-) -> Result<(DeltaReport, Vec<D::Seq>), CliError>
-where
-    D: seqhide_match::PatternDomain,
-    D::Seq: Clone,
-{
-    let mut state = DeltaState::build(config, domain, originals);
-    let report = state
-        .apply_delta(domain, SeqDelta { added, removed })
-        .map_err(|e| err(format!("--delta: {e}")))?;
-    Ok((report, state.released().to_vec()))
-}
-
-/// Renders plain-mode sequences in [`seqhide_types::SequenceDb::to_text`]
-/// format (space-joined symbols, one line each, marks as `Δ`).
-fn render_plain(alphabet: &Alphabet, seqs: &[Sequence]) -> String {
-    let mut out = String::new();
-    for t in seqs {
-        let words: Vec<String> = t.iter().map(|&s| alphabet.render(s)).collect();
-        out.push_str(&words.join(" "));
-        out.push('\n');
-    }
-    out
-}
-
-/// Formats the delta head lines and writes the release to `--out` or the
-/// response body — the delta-path counterpart of each domain's tail.
-fn finish_delta(
-    flags: &Flags,
-    domain: Domain,
-    report: &DeltaReport,
-    text: String,
-) -> Result<String, CliError> {
-    let r = &report.report;
-    let mut out = format!(
-        "{}: {} {} in {} sequences; residual supports {:?}\n",
-        domain.noun(),
-        r.marks_introduced,
-        domain.unit(),
-        r.sequences_sanitized,
-        r.residual_supports
-    );
-    out.push_str(&format!(
-        "delta: +{} -{} sequences; {} re-marked, {} restored\n",
-        report.added, report.removed, report.remarked, report.restored
-    ));
-    if !r.hidden {
-        return Err(err(format!(
-            "internal: sanitizer failed to hide {}",
-            domain.noun()
-        )));
-    }
-    if let Some(path) = flags.one("out") {
-        std::fs::write(path, &text).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-        out.push_str(&format!("wrote {path}\n"));
-    } else {
-        out.push_str(&text);
-    }
-    Ok(out)
-}
-
 /// `hide --delta <edits-file>`: sanitize the database, then absorb one
 /// mutation batch incrementally through the persistent supporter index
-/// ([`seqhide_core::delta`]) instead of re-sanitizing from scratch. The
-/// printed report and release describe the post-delta database and are
-/// byte-identical to a fresh `hide` of it on the same seed.
-fn hide_delta(
-    flags: &Flags,
-    cfg: &HideConfig,
-    domain: Domain,
-    edits: &str,
-) -> Result<String, CliError> {
+/// instead of re-sanitizing from scratch. The printed report and release
+/// describe the post-delta database and are byte-identical to a fresh
+/// `hide` of it on the same seed.
+fn hide_delta(flags: &Flags, job: &JobSpec, post: &str, edits: &str) -> Result<String, CliError> {
     if flags.has("stream") {
         return Err(err(
             "--delta applies one in-memory edits batch; it cannot be combined with --stream",
         ));
     }
-    if flags.one("post").unwrap_or("keep") != "keep" {
+    if post != "keep" {
         return Err(err("--delta maintains a Δ-marked release incrementally; \
              --post delete/replace need a full-database pass"));
     }
-    if cfg.op == OpKind::Substitute {
-        return Err(err(
-            "--delta cannot replay --op substitute: replacement symbols depend on \
-             alphabet interning order, which differs once edits are interned after \
-             the patterns — use --op mark or --op delete",
-        ));
+    let (added, removed) = parse_edits(edits)?;
+    let mut delta = exec::DeltaJob::build(job, read_text(flags)?, None).map_err(err)?;
+    let add = added.iter().map(|(lineno, line)| (*lineno, line.as_str()));
+    let report = delta
+        .apply(add, removed)
+        .map_err(|e| err(format!("--delta: {e}")))?;
+    let mut out = head_line(delta.family(), &report.report);
+    out.push_str(&format!(
+        "delta: +{} -{} sequences; {} re-marked, {} restored\n",
+        report.added, report.removed, report.remarked, report.restored
+    ));
+    if !report.report.hidden {
+        return Err(err(exec::not_hidden(delta.family())));
     }
-    if domain == Domain::Regex || !flags.all("regex").is_empty() {
-        return Err(err(
-            "--delta maintains a per-pattern supporter index; --regex patterns \
-             are not supported — give --pattern",
-        ));
-    }
-    let (added_lines, removed) = parse_edits(edits)?;
-    match domain {
-        Domain::Plain => {
-            let mut db = load_db(flags)?;
-            let sh = sensitive_set(flags, &mut db)?;
-            if sh.is_empty() {
-                return Err(err("nothing to hide: give --pattern"));
-            }
-            let added: Vec<Sequence> = added_lines
-                .iter()
-                .map(|(_, l)| Sequence::parse(l, db.alphabet_mut()))
-                .collect();
-            let exact = flags.has("exact");
-            let config = cfg.sanitizer(exact);
-            let originals = db.sequences().to_vec();
-            // The same (exact × engine) dispatch the full path routes
-            // through Sanitizer::run — the delta state drives the domain
-            // directly, so the arms are spelled out here.
-            let (report, released) = match (exact, cfg.engine) {
-                (false, EngineMode::Incremental) => run_delta(
-                    &config,
-                    &mut MatchEngine::<Sat64>::new(&sh),
-                    originals,
-                    added,
-                    removed,
-                )?,
-                (true, EngineMode::Incremental) => run_delta(
-                    &config,
-                    &mut MatchEngine::<BigCount>::new(&sh),
-                    originals,
-                    added,
-                    removed,
-                )?,
-                (false, EngineMode::Scratch) => run_delta(
-                    &config,
-                    &mut ScratchDomain::<Sat64>::new(&sh),
-                    originals,
-                    added,
-                    removed,
-                )?,
-                (true, EngineMode::Scratch) => run_delta(
-                    &config,
-                    &mut ScratchDomain::<BigCount>::new(&sh),
-                    originals,
-                    added,
-                    removed,
-                )?,
-            };
-            finish_delta(
-                flags,
-                Domain::Plain,
-                &report,
-                render_plain(db.alphabet(), &released),
-            )
-        }
-        Domain::Itemset => {
-            let (mut alphabet, db) = seqhide_data::io::parse_itemset_db(&read_text(flags)?);
-            let patterns = itemset_patterns(flags, &mut alphabet)?;
-            let added: Vec<ItemsetSequence> = added_lines
-                .iter()
-                .map(|(_, l)| seqhide_data::io::parse_itemset_line(l, &mut alphabet))
-                .collect();
-            let (report, released) = run_delta(
-                &cfg.sanitizer(false),
-                &mut ItemsetMatchEngine::<Sat64>::new(&patterns),
-                db,
-                added,
-                removed,
-            )?;
-            finish_delta(
-                flags,
-                Domain::Itemset,
-                &report,
-                seqhide_data::io::itemset_db_to_text(&alphabet, &released),
-            )
-        }
-        Domain::Timed => {
-            let (mut alphabet, db) = seqhide_data::io::parse_timed_db(&read_text(flags)?)
-                .map_err(|e| err(e.to_string()))?;
-            let patterns = timed_patterns(flags, &mut alphabet)?;
-            let mut added = Vec::new();
-            for (lineno, l) in &added_lines {
-                added.push(
-                    seqhide_data::io::parse_timed_line(*lineno, l, &mut alphabet)
-                        .map_err(|e| err(format!("--delta: {e}")))?,
-                );
-            }
-            let (report, released) = run_delta(
-                &cfg.sanitizer(false),
-                &mut TimedDomain::<Sat64>::new(&patterns),
-                db,
-                added,
-                removed,
-            )?;
-            finish_delta(
-                flags,
-                Domain::Timed,
-                &report,
-                seqhide_data::io::timed_db_to_text(&alphabet, &released),
-            )
-        }
-        Domain::String => {
-            let mut db = load_db(flags)?;
-            let patterns = string_patterns(flags, db.alphabet_mut())?;
-            let added: Vec<Sequence> = added_lines
-                .iter()
-                .map(|(_, l)| Sequence::parse(l, db.alphabet_mut()))
-                .collect();
-            let sigma_len = db.alphabet().len();
-            let originals = db.sequences().to_vec();
-            let (report, released) = run_delta(
-                &cfg.sanitizer(false),
-                &mut StringDomain::<Sat64>::new(&patterns, sigma_len).with_op(cfg.op),
-                originals,
-                added,
-                removed,
-            )?;
-            finish_delta(
-                flags,
-                Domain::String,
-                &report,
-                render_plain(db.alphabet(), &released),
-            )
-        }
-        Domain::Regex => unreachable!("rejected above"),
-    }
-}
-
-/// Parses `--pattern` values in the itemset syntax (`a,b c`) against
-/// `alphabet`.
-fn itemset_patterns(
-    flags: &Flags,
-    alphabet: &mut Alphabet,
-) -> Result<Vec<ItemsetPattern>, CliError> {
-    let cs = constraints(flags)?;
-    let mut patterns = Vec::new();
-    for text in flags.all("pattern") {
-        let elements: Vec<seqhide_types::Itemset> = text
-            .split_whitespace()
-            .map(|elem| {
-                seqhide_types::Itemset::new(
-                    elem.split(',')
-                        .filter(|w| !w.is_empty())
-                        .map(|w| alphabet.intern(w))
-                        .collect(),
-                )
-            })
-            .collect();
-        let seq = seqhide_types::ItemsetSequence::new(elements);
-        patterns.push(
-            ItemsetPattern::new(seq, cs.clone())
-                .map_err(|e| err(format!("--pattern '{text}': {e}")))?,
-        );
-    }
-    if patterns.is_empty() {
-        return Err(err(
-            "nothing to hide: give --pattern (itemset syntax: a,b c)",
-        ));
-    }
-    Ok(patterns)
-}
-
-/// Parses `--pattern` values for timed mode: plain symbols, with
-/// `--min-gap`/`--max-gap`/`--max-window` read as elapsed ticks.
-fn timed_patterns(flags: &Flags, alphabet: &mut Alphabet) -> Result<Vec<TimedPattern>, CliError> {
-    let mut tc = TimeConstraints::none();
-    let min = flags.u64_or("min-gap", 0)?;
-    let max = match flags.one("max-gap") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| err("--max-gap: not a number"))?),
-    };
-    if min > 0 || max.is_some() {
-        tc = TimeConstraints::uniform_gap(TimeGap { min, max });
-    }
-    if let Some(w) = flags.one("max-window") {
-        tc.max_window = Some(w.parse().map_err(|_| err("--max-window: not a number"))?);
-    }
-    let mut patterns = Vec::new();
-    for text in flags.all("pattern") {
-        let seq = Sequence::parse(text, alphabet);
-        patterns.push(
-            TimedPattern::new(seq, tc.clone())
-                .map_err(|e| err(format!("--pattern '{text}': {e}")))?,
-        );
-    }
-    if patterns.is_empty() {
-        return Err(err(
-            "nothing to hide: give --pattern (plain symbols; gaps in ticks)",
-        ));
-    }
-    Ok(patterns)
-}
-
-/// Compiles `--regex` values against `alphabet` with the run's
-/// gap/window constraints.
-fn regex_patterns(flags: &Flags, alphabet: &mut Alphabet) -> Result<Vec<RegexPattern>, CliError> {
-    let cs = constraints(flags)?;
-    flags
-        .all("regex")
-        .iter()
-        .map(|text| {
-            RegexPattern::compile(text, alphabet)
-                .map(|p| p.with_constraints(&cs))
-                .map_err(|e| err(format!("--regex '{text}': {e}")))
-        })
-        .collect()
-}
-
-/// Parses `--pattern` values as contiguous sensitive substrings.
-fn string_patterns(flags: &Flags, alphabet: &mut Alphabet) -> Result<Vec<StringPattern>, CliError> {
-    let mut patterns = Vec::new();
-    for text in flags.all("pattern") {
-        let seq = Sequence::parse(text, alphabet);
-        patterns
-            .push(StringPattern::new(seq).map_err(|e| err(format!("--pattern '{text}': {e}")))?);
-    }
-    if patterns.is_empty() {
-        return Err(err(
-            "nothing to hide: give --pattern (a contiguous substring)",
-        ));
-    }
-    Ok(patterns)
-}
-
-/// Applies the `--post` stage to a mark-only non-plain domain: `delete`
-/// runs the generic safe delete → re-verify → re-sanitize loop
-/// ([`seqhide_core::post::delete_markers_safe_domain`]) so that index
-/// shifts cannot resurrect constrained occurrences; `replace` writes
-/// plain alphabet symbols and stays plain-mode-only.
-fn post_domain<D: seqhide_match::PatternDomain>(
-    flags: &Flags,
-    cfg: &HideConfig,
-    db: &mut [D::Seq],
-    domain: &mut D,
-    delete: impl FnMut(&mut D::Seq) -> usize,
-) -> Result<Option<String>, CliError> {
-    match flags.one("post").unwrap_or("keep") {
-        "keep" => Ok(None),
-        "delete" => {
-            let dr = seqhide_core::post::delete_markers_safe_domain(
-                db,
-                domain,
-                cfg.psi,
-                &Sanitizer::new(cfg.local, cfg.global, cfg.psi),
-                delete,
-            );
-            Ok(Some(format!("post: deleted Δ ({} round(s))\n", dr.rounds)))
-        }
-        "replace" => Err(err(
-            "--post replace writes plain alphabet symbols; it applies to plain-mode runs only",
-        )),
-        other => Err(err(format!(
-            "unknown post strategy '{other}' (keep|delete|replace)"
-        ))),
-    }
-}
-
-fn hide_itemset(flags: &Flags, cfg: &HideConfig) -> Result<String, CliError> {
-    let (mut alphabet, mut db) = seqhide_data::io::parse_itemset_db(&read_text(flags)?);
-    let patterns = itemset_patterns(flags, &mut alphabet)?;
-    let report = cfg
-        .sanitizer(false)
-        .run_domain_threaded(&mut db, &|| ItemsetMatchEngine::<Sat64>::new(&patterns));
-    if !report.hidden {
-        return Err(err("internal: sanitizer failed to hide itemset patterns"));
-    }
-    let mut out = format!(
-        "itemset patterns: {} item marks in {} sequences; residual supports {:?}\n",
-        report.marks_introduced, report.sequences_sanitized, report.residual_supports
-    );
-    // Dropping emptied elements shifts positions, so gap-constrained
-    // itemset occurrences can resurrect — the generic safe loop
-    // re-verifies and re-sanitizes until the release is clean.
-    let post = post_domain(
-        flags,
-        cfg,
-        &mut db,
-        &mut ItemsetMatchEngine::<Sat64>::new(&patterns),
-        ItemsetSequence::delete_marked,
-    )?;
-    if let Some(line) = post {
-        out.push_str(&line);
-    }
-    let text = seqhide_data::io::itemset_db_to_text(&alphabet, &db);
-    if let Some(path) = flags.one("out") {
-        std::fs::write(path, &text).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-        out.push_str(&format!("wrote {path}\n"));
-    } else {
-        out.push_str(&text);
-    }
+    write_release(flags, &mut out, |sink| delta.write(true, sink))?;
     Ok(out)
 }
 
-fn hide_timed(flags: &Flags, cfg: &HideConfig) -> Result<String, CliError> {
-    let (mut alphabet, mut db) =
-        seqhide_data::io::parse_timed_db(&read_text(flags)?).map_err(|e| err(e.to_string()))?;
-    let patterns = timed_patterns(flags, &mut alphabet)?;
-    let report = cfg
-        .sanitizer(false)
-        .run_domain_threaded(&mut db, &|| TimedDomain::<Sat64>::new(&patterns));
-    if !report.hidden {
-        return Err(err("internal: sanitizer failed to hide timed patterns"));
-    }
-    let mut out = format!(
-        "timed patterns: {} event marks in {} sequences; residual supports {:?}\n",
-        report.marks_introduced, report.sequences_sanitized, report.residual_supports
-    );
-    // Deleting a marked event preserves every surviving time tag, so
-    // time-expressed constraints cannot resurrect — but the generic safe
-    // loop re-verifies anyway rather than trusting that argument.
-    let post = post_domain(
-        flags,
-        cfg,
-        &mut db,
-        &mut TimedDomain::<Sat64>::new(&patterns),
-        TimedSequence::delete_marked,
-    )?;
-    if let Some(line) = post {
-        out.push_str(&line);
-    }
-    let text = seqhide_data::io::timed_db_to_text(&alphabet, &db);
-    if let Some(path) = flags.one("out") {
-        std::fs::write(path, &text).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-        out.push_str(&format!("wrote {path}\n"));
-    } else {
-        out.push_str(&text);
-    }
-    Ok(out)
-}
-
-/// In-memory substring hide: sensitive substrings sanitized by the
-/// `--op`-selected edit family. The substitution family picks replacement
-/// candidates in interned-id order, so the database is parsed (and its
-/// symbols interned) before the patterns — the same order the streaming
-/// path replays with its pre-pass.
-fn hide_string(flags: &Flags, cfg: &HideConfig) -> Result<String, CliError> {
-    if flags.one("post").unwrap_or("keep") != "keep" {
-        return Err(err(
-            "--domain string edits during sanitization (--op delete|substitute); \
-             --post delete/replace apply to Δ-marked plain-mode releases",
-        ));
-    }
-    if !flags.all("regex").is_empty() {
-        return Err(err(
-            "--regex applies to plain mode only: the string domain hides --pattern substrings",
-        ));
-    }
-    let mut db = load_db(flags)?;
-    let patterns = string_patterns(flags, db.alphabet_mut())?;
-    let sigma_len = db.alphabet().len();
-    let op = cfg.op;
-    let report = cfg
-        .sanitizer(false)
-        .run_domain_threaded(db.sequences_mut(), &|| {
-            StringDomain::<Sat64>::new(&patterns, sigma_len).with_op(op)
-        });
-    if !report.hidden {
-        return Err(err("internal: sanitizer failed to hide string patterns"));
-    }
-    let mut out = format!(
-        "string patterns: {} edits in {} sequences; residual supports {:?}\n",
-        report.marks_introduced, report.sequences_sanitized, report.residual_supports
-    );
-    if let Some(path) = flags.one("out") {
-        seqhide_data::io::write_db(path, &db)
-            .map_err(|e| err(format!("cannot write {path}: {e}")))?;
-        out.push_str(&format!("wrote {path}\n"));
-    } else {
-        out.push_str(&db.to_text());
-    }
-    Ok(out)
-}
-
-/// In-memory plain-mode hide: plain `S_h` and/or regex patterns, with the
-/// optional `--post` second stage.
-fn hide_plain(flags: &Flags, cfg: &HideConfig) -> Result<String, CliError> {
-    let psi = cfg.psi;
-    let mut db = load_db(flags)?;
-    let sh = sensitive_set(flags, &mut db)?;
-    let regexes = regex_patterns(flags, db.alphabet_mut())?;
-    if sh.is_empty() && regexes.is_empty() {
-        return Err(err("nothing to hide: give --pattern and/or --regex"));
-    }
-    let seed = cfg.seed;
-    let mut out = String::new();
-    let mut marks = 0;
-    if !sh.is_empty() {
-        let report = cfg.sanitizer(flags.has("exact")).run(&mut db, &sh);
-        marks += report.marks_introduced;
-        out.push_str(&format!(
-            "plain patterns: {} marks in {} sequences; residual supports {:?}\n",
-            report.marks_introduced, report.sequences_sanitized, report.residual_supports
-        ));
-        if flags.has("report") {
-            out.push_str(&format!(
-                "engine: {} cell repairs, {} fallback recounts\n",
-                report.engine_repairs, report.fallback_recounts
-            ));
-        }
-        if !report.hidden {
-            return Err(err("internal: sanitizer failed to hide plain patterns"));
-        }
-    }
-    if !regexes.is_empty() {
-        let report = cfg
-            .sanitizer(false)
-            .run_domain_threaded(db.sequences_mut(), &|| RegexDomain::<Sat64>::new(&regexes));
-        marks += report.marks_introduced;
-        out.push_str(&format!(
-            "regex patterns: {} marks in {} sequences; residual supports {:?}\n",
-            report.marks_introduced, report.sequences_sanitized, report.residual_supports
-        ));
-        if !report.hidden {
-            return Err(err("internal: sanitizer failed to hide regex patterns"));
-        }
-    }
-    match flags.one("post").unwrap_or("keep") {
-        "keep" => {}
-        "delete" => {
-            // Δ-deletion shrinks gaps, which can resurrect *any*
-            // constrained matcher's occurrences — regex patterns included,
-            // not just plain S_h. The hook re-verifies (and if needed
-            // re-sanitizes) the regexes each round; it returns 0 once they
-            // are hidden, so the loop ends with both families clean.
-            let (released, dr) = seqhide_core::post::delete_markers_safe_with(
-                &db,
-                &sh,
-                psi,
-                &Sanitizer::new(cfg.local, cfg.global, psi),
-                |cur| {
-                    if regexes.is_empty() {
-                        0
-                    } else {
-                        sanitize_regex_db(cur, &regexes, psi, cfg.local, seed).marks_introduced
-                    }
-                },
-            );
-            db = released;
-            out.push_str(&format!("post: deleted Δ ({} round(s))\n", dr.rounds));
-        }
-        "replace" => {
-            let rep = seqhide_core::post::replace_markers(&mut db, &sh, seed);
-            out.push_str(&format!(
-                "post: replaced {} Δ, kept {}\n",
-                rep.replaced, rep.kept
-            ));
-        }
-        other => {
-            return Err(err(format!(
-                "unknown post strategy '{other}' (keep|delete|replace)"
-            )))
-        }
-    }
-    out.push_str(&format!("total marks (M1): {marks}\n"));
-    if let Some(path) = flags.one("out") {
-        seqhide_data::io::write_db(path, &db)
-            .map_err(|e| err(format!("cannot write {path}: {e}")))?;
-        out.push_str(&format!("wrote {path}\n"));
-    } else {
-        out.push_str(&db.to_text());
-    }
-    if flags.has("report") {
-        let stats = db.stats();
-        out.push_str(&format!(
-            "released: {} sequences, {} residual Δ\n",
-            stats.len, stats.marks
-        ));
-    }
-    Ok(out)
-}
-
-/// Runs a streaming sanitize against the flag-selected sink: sharded
-/// spill + atomic rename under `--out`, an in-memory buffer (returned as
-/// the body text) otherwise.
-fn with_stream_sink(
-    flags: &Flags,
-    db_path: &str,
-    run: impl FnOnce(&mut dyn Write) -> std::io::Result<StreamReport>,
-) -> Result<(StreamReport, String), CliError> {
-    let stream_io = |e: std::io::Error| err(format!("cannot stream {db_path}: {e}"));
-    if let Some(out_path) = flags.one("out") {
-        let shard_dir = Path::new(out_path)
-            .parent()
-            .filter(|p| !p.as_os_str().is_empty())
-            .unwrap_or_else(|| Path::new("."))
-            .to_path_buf();
-        let mut sink = seqhide_data::ShardWriter::new(shard_dir, 8 << 20);
-        let sr = run(&mut sink).map_err(stream_io)?;
-        sink.finish_to_path(out_path)
-            .map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
-        Ok((sr, String::new()))
-    } else {
-        let mut buf = Vec::new();
-        let sr = run(&mut buf).map_err(stream_io)?;
-        Ok((sr, String::from_utf8(buf).expect("release text is UTF-8")))
-    }
-}
-
-/// `hide --stream`: the two-pass bounded-memory pipeline
-/// ([`seqhide_core::stream`]) for every pattern class. Pass 1 scans for
-/// supporters, pass 2 re-streams in `--batch-size` batches and writes
-/// incrementally — the database is never fully resident. Same seed ⇒
-/// byte-identical output to the in-memory path (pinned by
-/// tests/stream.rs and tests/cli.rs).
-fn cmd_hide_stream(flags: &Flags, cfg: &HideConfig, domain: Domain) -> Result<String, CliError> {
-    if flags.one("post").unwrap_or("keep") != "keep" {
+/// `hide --stream`: the two-pass bounded-memory pipeline for every
+/// pattern class. Pass 1 scans for supporters, pass 2 re-streams in
+/// `--batch-size` batches and writes incrementally — the database is
+/// never fully resident. Same seed ⇒ byte-identical output to the
+/// in-memory path (pinned by tests/stream.rs and tests/cli.rs).
+fn hide_stream(flags: &Flags, job: &JobSpec, post: &str) -> Result<String, CliError> {
+    if post != "keep" {
         return Err(err(
             "--stream writes incrementally; --post delete/replace need the full database in memory",
         ));
     }
-    if matches!(domain, Domain::Itemset | Domain::Timed | Domain::String)
-        && !flags.all("regex").is_empty()
-    {
-        return Err(err(
-            "--stream hides one pattern class per run: --regex applies to plain mode only",
-        ));
-    }
-    let db_path = flags.required("db")?.to_string();
+    let db_path = flags.required("db")?;
     let batch_size = flags.usize_or("batch-size", 1024)?;
     if batch_size == 0 {
         return Err(err(
@@ -857,143 +275,34 @@ fn cmd_hide_stream(flags: &Flags, cfg: &HideConfig, domain: Domain) -> Result<St
              needs at least one resident sequence per batch",
         ));
     }
-    let sanitizer = cfg.sanitizer(flags.has("exact"));
-    let input = Path::new(&db_path);
-
-    let (report, body) = match domain {
-        Domain::Plain => {
-            if !flags.all("regex").is_empty() {
-                return Err(err(
-                    "--stream hides one pattern class per run: give --pattern or --regex, not both",
-                ));
-            }
-            let cs = constraints(flags)?;
-            let mut alphabet = Alphabet::new();
-            let mut patterns = Vec::new();
-            for text in flags.all("pattern") {
-                let seq = Sequence::parse(text, &mut alphabet);
-                patterns.push(
-                    SensitivePattern::new(seq, cs.clone())
-                        .map_err(|e| err(format!("--pattern '{text}': {e}")))?,
-                );
-            }
-            let sh = SensitiveSet::from_patterns(patterns);
-            if sh.is_empty() {
-                return Err(err("nothing to hide: give --pattern"));
-            }
-            with_stream_sink(flags, &db_path, |sink| {
-                sanitizer.run_streaming(input, &mut alphabet, &sh, batch_size, sink)
-            })?
-        }
-        Domain::Regex => {
-            let mut alphabet = Alphabet::new();
-            let regexes = regex_patterns(flags, &mut alphabet)?;
-            with_stream_sink(flags, &db_path, |sink| {
-                sanitizer.run_streaming_domain(
-                    input,
-                    &mut alphabet,
-                    &PlainCodec,
-                    &|| RegexDomain::<Sat64>::new(&regexes),
-                    batch_size,
-                    sink,
-                )
-            })?
-        }
-        Domain::Itemset => {
-            // The level-2 item choice iterates an element's items in
-            // Symbol-id order, so the release depends on interning order.
-            // Pre-intern the database's symbols in file order (what the
-            // in-memory path sees) before the pattern's, so both paths
-            // release identical bytes. One extra sequential pass, O(1)
-            // resident memory.
-            let mut alphabet = Alphabet::new();
-            let pre_io = |e: std::io::Error| err(format!("cannot stream {db_path}: {e}"));
-            let mut reader = SeqReader::open(input).map_err(pre_io)?;
-            while reader
-                .next_record(&ItemsetCodec, &mut alphabet)
-                .map_err(pre_io)?
-                .is_some()
-            {}
-            let patterns = itemset_patterns(flags, &mut alphabet)?;
-            with_stream_sink(flags, &db_path, |sink| {
-                sanitizer.run_streaming_domain(
-                    input,
-                    &mut alphabet,
-                    &ItemsetCodec,
-                    &|| ItemsetMatchEngine::<Sat64>::new(&patterns),
-                    batch_size,
-                    sink,
-                )
-            })?
-        }
-        Domain::Timed => {
-            let mut alphabet = Alphabet::new();
-            let patterns = timed_patterns(flags, &mut alphabet)?;
-            with_stream_sink(flags, &db_path, |sink| {
-                sanitizer.run_streaming_domain(
-                    input,
-                    &mut alphabet,
-                    &TimedCodec,
-                    &|| TimedDomain::<Sat64>::new(&patterns),
-                    batch_size,
-                    sink,
-                )
-            })?
-        }
-        Domain::String => {
-            // The substitution family tries replacement symbols in
-            // interned-id order, so the release depends on intern order.
-            // Pre-intern the database's symbols in file order (what the
-            // in-memory path sees) before the patterns', so both paths
-            // release identical bytes. One extra sequential pass, O(1)
-            // resident memory — the itemset branch above does the same.
-            let mut alphabet = Alphabet::new();
-            let pre_io = |e: std::io::Error| err(format!("cannot stream {db_path}: {e}"));
-            let mut reader = SeqReader::open(input).map_err(pre_io)?;
-            while reader
-                .next_record(&PlainCodec, &mut alphabet)
-                .map_err(pre_io)?
-                .is_some()
-            {}
-            let patterns = string_patterns(flags, &mut alphabet)?;
-            let sigma_len = alphabet.len();
-            let op = cfg.op;
-            with_stream_sink(flags, &db_path, |sink| {
-                sanitizer.run_streaming_domain(
-                    input,
-                    &mut alphabet,
-                    &PlainCodec,
-                    &|| StringDomain::<Sat64>::new(&patterns, sigma_len).with_op(op),
-                    batch_size,
-                    sink,
-                )
-            })?
-        }
+    let open = || Ok(Box::new(BufReader::new(File::open(db_path)?)) as Box<dyn BufRead>);
+    let stream = |sink: &mut dyn Write| {
+        exec::run_streaming(job, &open, db_path, batch_size, sink).map_err(err)
     };
-
-    let mut head = format!(
-        "{}: {} {} in {} sequences; residual supports {:?}\n",
-        domain.noun(),
-        report.report.marks_introduced,
-        domain.unit(),
-        report.report.sequences_sanitized,
-        report.report.residual_supports
-    );
+    let mut body = Vec::new();
+    let streamed = match flags.one("out") {
+        Some(out_path) => {
+            // Spill shards next to the output, then rename into place.
+            let shard_dir = Path::new(out_path)
+                .parent()
+                .filter(|p| !p.as_os_str().is_empty())
+                .unwrap_or_else(|| Path::new("."));
+            let mut sink = seqhide_data::ShardWriter::new(shard_dir, 8 << 20);
+            let streamed = stream(&mut sink)?;
+            sink.finish_to_path(out_path)
+                .map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
+            streamed
+        }
+        None => stream(&mut body)?,
+    };
+    let report = &streamed.report;
+    let mut head = head_line(streamed.family, &report.report);
     head.push_str(&format!(
         "stream: {} sequences in {} batch(es) of ≤ {batch_size}; peak batch {} B\n",
         report.sequences_total, report.batches, report.peak_batch_bytes
     ));
     if flags.has("report") {
-        head.push_str(&format!(
-            "engine: {} cell repairs, {} fallback recounts\n",
-            report.report.engine_repairs, report.report.fallback_recounts
-        ));
-    }
-    if !report.report.hidden {
-        return Err(err(format!(
-            "internal: sanitizer failed to hide {}",
-            domain.noun()
-        )));
+        head.push_str(&engine_line(&report.report));
     }
     head.push_str(&format!(
         "total marks (M1): {}\n",
@@ -1002,5 +311,5 @@ fn cmd_hide_stream(flags: &Flags, cfg: &HideConfig, domain: Domain) -> Result<St
     if let Some(out_path) = flags.one("out") {
         head.push_str(&format!("wrote {out_path}\n"));
     }
-    Ok(head + &body)
+    Ok(head + std::str::from_utf8(&body).expect("release text is UTF-8"))
 }

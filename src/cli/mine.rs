@@ -2,9 +2,10 @@
 //! GSP, or the itemset miner.
 
 use seqhide_mine::{Gsp, MinerConfig, PrefixSpan};
+use seqhide_serve::exec::{JobSpec, Mode};
 
 use super::flags::Flags;
-use super::{constraints, err, load_db, mode, read_text, CliError};
+use super::{err, gap_flags, load_db, mode, read_text, CliError};
 
 pub(crate) fn cmd_mine(flags: &Flags) -> Result<String, CliError> {
     let sigma = flags
@@ -18,7 +19,7 @@ pub(crate) fn cmd_mine(flags: &Flags) -> Result<String, CliError> {
     if let Some(l) = flags.one("max-len") {
         cfg = cfg.with_max_len(l.parse().map_err(|_| err("--max-len: not a number"))?);
     }
-    if mode(flags)? == "itemset" {
+    if mode(flags)? == Mode::Itemset {
         let (alphabet, db) = seqhide_data::io::parse_itemset_db(&read_text(flags)?);
         let result = seqhide_mine::ItemsetMiner::mine(&db, &cfg);
         let mut rows = result.patterns.clone();
@@ -38,7 +39,7 @@ pub(crate) fn cmd_mine(flags: &Flags) -> Result<String, CliError> {
         }
         return Ok(out);
     }
-    if mode(flags)? == "timed" {
+    if mode(flags)? == Mode::Timed {
         return Err(err(
             "mining timed databases is not supported; project the symbols",
         ));
@@ -46,7 +47,16 @@ pub(crate) fn cmd_mine(flags: &Flags) -> Result<String, CliError> {
     let db = load_db(flags)?;
     let result = match flags.one("miner").unwrap_or("prefixspan") {
         "prefixspan" => PrefixSpan::mine(&db, &cfg),
-        "gsp" => Gsp::mine(&db, &cfg.with_constraints(constraints(flags)?)),
+        "gsp" => {
+            let (min_gap, max_gap, max_window) = gap_flags(flags)?;
+            let gaps = JobSpec {
+                min_gap,
+                max_gap,
+                max_window,
+                ..JobSpec::default()
+            };
+            Gsp::mine(&db, &cfg.with_constraints(gaps.constraints().map_err(err)?))
+        }
         other => return Err(err(format!("unknown miner '{other}'"))),
     };
     let mut rows = result.patterns.clone();

@@ -21,9 +21,9 @@
 
 use std::fmt;
 
-use seqhide_match::{ConstraintSet, Gap, SensitivePattern, SensitiveSet};
 use seqhide_obs as obs;
-use seqhide_types::{Sequence, SequenceDb};
+use seqhide_serve::exec::Mode;
+use seqhide_types::SequenceDb;
 
 mod attack;
 mod flags;
@@ -159,44 +159,31 @@ pub(crate) fn load_db(flags: &Flags) -> Result<SequenceDb, CliError> {
     seqhide_data::io::read_db(path).map_err(|e| err(format!("cannot read {path}: {e}")))
 }
 
-pub(crate) fn constraints(flags: &Flags) -> Result<ConstraintSet, CliError> {
-    let min = flags.usize_or("min-gap", 0)?;
-    let max = match flags.one("max-gap") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| err("--max-gap: not a number"))?),
+/// The `--min-gap`/`--max-gap`/`--max-window` flags; the pipeline's
+/// constraint builders validate them.
+pub(crate) fn gap_flags(flags: &Flags) -> Result<(u64, Option<u64>, Option<u64>), CliError> {
+    let optional = |name: &str| {
+        flags
+            .one(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| err(format!("--{name}: not a number")))
+            })
+            .transpose()
     };
-    if let Some(max) = max {
-        if max < min {
-            return Err(err("--max-gap must be ≥ --min-gap"));
-        }
-    }
-    let mut cs = if min == 0 && max.is_none() {
-        ConstraintSet::none()
-    } else {
-        ConstraintSet::uniform_gap(Gap { min, max })
-    };
-    if let Some(w) = flags.one("max-window") {
-        cs.max_window = Some(w.parse().map_err(|_| err("--max-window: not a number"))?);
-    }
-    Ok(cs)
+    Ok((
+        flags.u64_or("min-gap", 0)?,
+        optional("max-gap")?,
+        optional("max-window")?,
+    ))
 }
 
-pub(crate) fn sensitive_set(flags: &Flags, db: &mut SequenceDb) -> Result<SensitiveSet, CliError> {
-    let cs = constraints(flags)?;
-    let mut patterns = Vec::new();
-    for text in flags.all("pattern") {
-        let seq = Sequence::parse(text, db.alphabet_mut());
-        patterns.push(
-            SensitivePattern::new(seq, cs.clone())
-                .map_err(|e| err(format!("--pattern '{text}': {e}")))?,
-        );
-    }
-    Ok(SensitiveSet::from_patterns(patterns))
-}
-
-pub(crate) fn mode(flags: &Flags) -> Result<&str, CliError> {
+/// `--mode`: the database line format (`string` is spelled `--domain`).
+pub(crate) fn mode(flags: &Flags) -> Result<Mode, CliError> {
     match flags.one("mode").unwrap_or("plain") {
-        m @ ("plain" | "itemset" | "timed") => Ok(m),
+        "plain" => Ok(Mode::Plain),
+        "itemset" => Ok(Mode::Itemset),
+        "timed" => Ok(Mode::Timed),
         other => Err(err(format!("unknown mode '{other}' (plain|itemset|timed)"))),
     }
 }

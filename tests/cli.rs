@@ -1282,3 +1282,101 @@ fn serve_rejects_degenerate_pool_and_queue_sizes() {
     let e = run(&args(&["serve", "--queue-dept", "4"])).unwrap_err();
     assert!(e.0.contains("did you mean --queue-depth?"), "{e}");
 }
+
+/// Regression: `--regex` outside plain mode used to be ignored by the
+/// in-memory timed and itemset paths, releasing the regex's occurrences
+/// unhidden with exit 0. Every path now rejects it.
+#[test]
+fn regex_outside_plain_mode_is_rejected_not_ignored() {
+    let dir = tmpdir("regexmode");
+    let timed = write_db(&dir, "timed.db", "b@0 a@1 c@4\na@0 c@2\nb@1 c@3\n");
+    let itemset = write_db(&dir, "itemset.db", "b a c\na c\nb c\n");
+    for (db, mode) in [(&timed, "timed"), (&itemset, "itemset")] {
+        for stream in [false, true] {
+            let mut a = args(&[
+                "hide",
+                "--db",
+                db,
+                "--mode",
+                mode,
+                "--psi",
+                "0",
+                "--pattern",
+                "a c",
+                "--regex",
+                "b c",
+            ]);
+            if stream {
+                a.push("--stream".to_string());
+            }
+            let e = run(&a).unwrap_err();
+            assert!(
+                e.0.contains("plain mode only"),
+                "{mode} stream={stream}: {e}"
+            );
+        }
+    }
+}
+
+/// Regression: `--domain regex --stream` used to drop `--pattern` and
+/// release the plain pattern unhidden. Streaming hides one family per
+/// run, so giving both is rejected; in memory both are hidden.
+#[test]
+fn regex_domain_stream_rejects_patterns_and_regexes_together() {
+    let dir = tmpdir("regexboth");
+    let db = write_db(&dir, "db.seq", "a b c\na c\nb a c\nb c a c\n");
+    let both = ["--pattern", "a c", "--regex", "b c"];
+    let mut a = args(&["hide", "--db", &db, "--domain", "regex", "--psi", "0"]);
+    a.extend(args(&both));
+    let mut streamed = a.clone();
+    streamed.push("--stream".to_string());
+    let e = run(&streamed).unwrap_err();
+    assert!(e.0.contains("not both"), "{e}");
+
+    let out_path = dir.join("rel.seq").to_string_lossy().into_owned();
+    a.extend(args(&["--out", &out_path]));
+    run(&a).unwrap();
+    for pattern in ["a c", "b c"] {
+        let verdict = run(&args(&[
+            "verify",
+            "--db",
+            &out_path,
+            "--psi",
+            "0",
+            "--pattern",
+            pattern,
+        ]))
+        .unwrap();
+        assert!(verdict.ends_with("HIDDEN\n"), "{pattern}: {verdict}");
+    }
+}
+
+/// Regression: timed gaps skipped the `max ≥ min` check, so an
+/// unsatisfiable gap released the database unchanged ("0 event marks")
+/// with exit 0. The shared constraint builder rejects it on every path.
+#[test]
+fn timed_gaps_are_validated_like_index_gaps() {
+    let dir = tmpdir("timedgaps");
+    let db = write_db(&dir, "timed.db", "a@0 c@4\na@1 b@2 c@9\n");
+    let edits = write_db(&dir, "edits.txt", "+ a@0 c@1\n");
+    for extra in [&[][..], &["--stream"], &["--delta", &edits]] {
+        let mut a = args(&[
+            "hide",
+            "--db",
+            &db,
+            "--mode",
+            "timed",
+            "--psi",
+            "0",
+            "--pattern",
+            "a c",
+            "--min-gap",
+            "5",
+            "--max-gap",
+            "1",
+        ]);
+        a.extend(args(extra));
+        let e = run(&a).unwrap_err();
+        assert!(e.0.contains("max_gap must be ≥ min_gap"), "{extra:?}: {e}");
+    }
+}

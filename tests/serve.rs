@@ -1767,3 +1767,116 @@ fn drain_delivers_jobs_parked_behind_an_inflight_cap() {
     let summary = handle.join().unwrap();
     assert_eq!(summary.executed, 2);
 }
+
+/// `seqhide hide --delta` and the server's `delta` op run the same
+/// pipeline: for every mode the delta path serves (string with
+/// `op: delete`), one +1/−1 batch against a loaded dataset releases
+/// exactly the bytes the CLI writes for the same edits file.
+#[test]
+fn cli_delta_release_is_byte_identical_to_served_delta() {
+    let dir = tmpdir("delta-cli-parity");
+    let (addr, handle) = start(2, 8);
+    struct Case {
+        name: &'static str,
+        /// The wire `mode` and the CLI flags spelling the same class.
+        mode: &'static str,
+        cli: &'static [&'static str],
+        db: &'static str,
+        pattern: &'static str,
+        added: &'static str,
+        op: &'static str,
+    }
+    let cases = [
+        Case {
+            name: "plain",
+            mode: "plain",
+            cli: &[],
+            db: "a b c\nb a c\nc c a\na c\na b a b\n",
+            pattern: "a c",
+            added: "c a c",
+            op: "mark",
+        },
+        Case {
+            name: "itemset",
+            mode: "itemset",
+            cli: &["--mode", "itemset"],
+            db: "bread,milk beer\nbeer bread\nbread,milk bread beer\nmilk beer,bread\n",
+            pattern: "bread beer",
+            added: "bread beer,milk",
+            op: "mark",
+        },
+        Case {
+            name: "timed",
+            mode: "timed",
+            cli: &["--mode", "timed"],
+            db: "a@0 b@5 c@9\nb@0 a@3 c@7\na@1 c@4\nc@0 a@2 c@9\n",
+            pattern: "a c",
+            added: "a@2 c@3",
+            op: "mark",
+        },
+        Case {
+            name: "string",
+            mode: "string",
+            cli: &["--domain", "string", "--op", "delete"],
+            db: "a b c\na b d\nc a b\nb a\na b a b\n",
+            pattern: "a b",
+            added: "x a b",
+            op: "delete",
+        },
+    ];
+    for Case {
+        name,
+        mode,
+        cli: cli_mode,
+        db,
+        pattern,
+        added,
+        op,
+    } in cases
+    {
+        let dataset = format!("parity-{name}");
+        let resp = send_one(addr, &load_request(&dataset, db));
+        assert_eq!(status_of(&resp), Some("ok"), "{name}: {resp:?}");
+        let served = send_one(
+            addr,
+            &obj(vec![
+                ("type", Json::Str("delta".to_string())),
+                ("dataset", Json::Str(dataset.clone())),
+                ("add", str_arr(&[added])),
+                ("remove", Json::Arr(vec![Json::num(1)])),
+                ("mode", Json::Str(mode.to_string())),
+                ("patterns", str_arr(&[pattern])),
+                ("psi", Json::num(1)),
+                ("algorithm", Json::Str("rr".to_string())),
+                ("seed", Json::num(5)),
+                ("op", Json::Str(op.to_string())),
+                ("release", Json::Bool(true)),
+            ]),
+        );
+        assert_eq!(status_of(&served), Some("ok"), "{name}: {served:?}");
+
+        let db_path = dir.join(format!("{name}.db"));
+        fs::write(&db_path, db).unwrap();
+        let edits_path = dir.join(format!("{name}.edits"));
+        fs::write(&edits_path, format!("+ {added}\n- 1\n")).unwrap();
+        let out_path = dir.join(format!("{name}.out"));
+        let mut a = args(&["hide", "--psi", "1", "--algorithm", "rr", "--seed", "5"]);
+        a.extend(args(cli_mode));
+        for (flag, path) in [
+            ("--db", &db_path),
+            ("--delta", &edits_path),
+            ("--out", &out_path),
+        ] {
+            a.extend([flag.to_string(), path.to_string_lossy().into_owned()]);
+        }
+        a.extend(args(&["--pattern", pattern]));
+        cli(&a).unwrap();
+        assert_eq!(
+            served.get("release").and_then(Json::as_str),
+            Some(fs::read_to_string(&out_path).unwrap().as_str()),
+            "{name}: served delta release diverges from hide --delta"
+        );
+    }
+    send_one(addr, r#"{"type":"shutdown"}"#);
+    handle.join().unwrap();
+}
