@@ -8,9 +8,13 @@ Default mode asserts BENCH_serve.json (written by `seqhide loadgen`)
 carries the named fields with sane values: some traffic was served, the
 shed rate is a fraction, the latency quantiles are ordered, and the
 accounting adds up — including the per-tenant rows and Jain fairness
-index a `--tenants` run records. With PROM_FILE (a saved `GET /metrics`
-scrape body), also runs a minimal Prometheus text-format check over
-every line.
+index a `--tenants` run records. It also checks the attribution: no
+server layer's p50 exceeds the round-trip p50 of the replies it was
+read from, and the time no layer covers (`unaccounted_ns`: round trip
+minus the server's total) has a p50 under 1 ms, which a loopback
+transport without a Nagle/delayed-ACK stall keeps easily. With
+PROM_FILE (a saved `GET /metrics` scrape body), also runs a minimal
+Prometheus text-format check over every line.
 
 Fairness mode compares a contended 1-hog run (tenant "t0" is the hog)
 against a hog-free solo baseline over the same light tenants and
@@ -24,6 +28,7 @@ import sys
 HOG = "t0"  # loadgen's tenant-0 token; hog traffic lands here
 P99_SLACK = 3.0
 JAIN_FLOOR = 0.9
+UNACCOUNTED_P50_MAX_NS = 1_000_000  # 1 ms on loopback
 
 
 def check_bench(path):
@@ -79,6 +84,38 @@ def check_bench(path):
             lat["p99"] // 1000,
             bench["shed_rate"],
             bench["drain_ms"],
+        )
+    )
+
+
+def check_layers(bench):
+    """Where the round trip went: every server layer's p50 fits inside
+    the round-trip p50 of the same replies, and the unattributed rest
+    stays under UNACCOUNTED_P50_MAX_NS."""
+    layers = bench["layers"]
+    assert layers["count"] > 0, "no reply carried timings: %s" % layers
+    rtt = layers["rtt_ns"]["p50"]
+    for key, q in sorted(layers.items()):
+        if key in ("count", "rtt_ns"):
+            continue
+        assert q["p50"] <= q["p99"], "layers.%s: %s" % (key, q)
+        assert q["p50"] <= rtt, "layers.%s p50 %dns exceeds the rtt p50 %dns" % (
+            key,
+            q["p50"],
+            rtt,
+        )
+    unaccounted = bench["unaccounted_ns"]
+    assert unaccounted["p50"] < UNACCOUNTED_P50_MAX_NS, (
+        "unaccounted p50 %dns is over %dns: time outside every server layer "
+        "(a transport stall?) %s" % (unaccounted["p50"], UNACCOUNTED_P50_MAX_NS, bench)
+    )
+    print(
+        "attribution OK: %d replies, rtt p50 %dus, unaccounted p50 %dus p99 %dus"
+        % (
+            layers["count"],
+            rtt // 1000,
+            unaccounted["p50"] // 1000,
+            unaccounted["p99"] // 1000,
         )
     )
 
@@ -184,6 +221,8 @@ def main():
         check_fairness(contended, solo)
         return
     check_bench(sys.argv[1])
+    with open(sys.argv[1]) as fh:
+        check_layers(json.load(fh))
     if len(sys.argv) > 2:
         check_prometheus(sys.argv[2])
 

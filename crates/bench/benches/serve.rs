@@ -19,7 +19,7 @@ use std::thread;
 use std::time::Duration;
 
 use seqhide_serve::loadgen::{run, LoadgenOptions};
-use seqhide_serve::{ServeOptions, Server};
+use seqhide_serve::{protocol, ServeOptions, Server};
 
 fn main() {
     let workers = thread::available_parallelism()
@@ -58,10 +58,9 @@ fn main() {
 
     // drain via the wire so the summary's accounting is exercised too
     {
-        use std::io::{BufRead, BufReader, Write};
-        let mut stream = std::net::TcpStream::connect(addr).expect("connect for shutdown");
-        writeln!(stream, r#"{{"type":"shutdown"}}"#).unwrap();
-        stream.flush().unwrap();
+        use std::io::{BufRead, BufReader};
+        let mut stream = protocol::connect(addr).expect("connect for shutdown");
+        protocol::write_frame(&mut stream, r#"{"type":"shutdown"}"#.to_string()).unwrap();
         let mut line = String::new();
         BufReader::new(stream).read_line(&mut line).unwrap();
     }

@@ -42,7 +42,7 @@ use seqhide_core::{DeltaState, SupporterIndex};
 use seqhide_num::Sat64;
 use seqhide_types::Sequence;
 
-use crate::exec::{DeltaJob, JobSpec};
+use crate::exec::{self, DeltaJob, JobSpec, Leg};
 use crate::registry::{DatasetRegistry, DatasetSnapshot};
 
 /// One fully-decoded `delta` request.
@@ -253,7 +253,7 @@ fn build_session(
     spec: &DeltaSpec,
     fingerprint: String,
 ) -> Result<Session, String> {
-    let text = snapshot.text()?;
+    let text = exec::lap(Leg::DbParse, || snapshot.text())?;
     let warm = registry.data_dir().and_then(|dir| {
         read_sqdi(
             &sqdi_path(dir, &spec.dataset),

@@ -27,11 +27,18 @@
 //!   anywhere else.
 //! * **Rendering** — one writer per line format ([`StreamCodec`]), used
 //!   by the resident, streaming and delta paths alike.
+//!
+//! Each step also times itself into one of four [`ExecLegs`]: database
+//! parse, build (pattern compile and delta-state construction), run and
+//! render. The server collects them around each job and reports them in
+//! every reply's `timings`.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
+use std::time::Instant;
 
 use seqhide_core::post::ReplaceReport;
 use seqhide_core::timed::{TimeConstraints, TimeGap, TimedPattern};
@@ -63,6 +70,70 @@ const STREAM_BATCH_SEQS: usize = 1024;
 /// finished batches spill to temp shards until response render.
 const STREAM_SPILL_BYTES: usize = 8 * 1024 * 1024;
 
+/// Where one job's execution time went, in nanoseconds. Streamed passes
+/// parse as they go, so their parsing counts under `run_ns`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecLegs {
+    /// Fetching the database text and parsing it into rows.
+    pub db_parse_ns: u64,
+    /// Compiling the patterns, and building a delta session's state.
+    pub build_ns: u64,
+    /// The sanitizer passes, the support count or the delta batch.
+    pub run_ns: u64,
+    /// Rendering the release (or a verify's patterns) as text.
+    pub render_ns: u64,
+}
+
+impl ExecLegs {
+    /// The four legs summed.
+    pub fn total_ns(&self) -> u64 {
+        self.db_parse_ns + self.build_ns + self.run_ns + self.render_ns
+    }
+}
+
+/// One of the [`ExecLegs`].
+#[derive(Clone, Copy)]
+pub(crate) enum Leg {
+    DbParse,
+    Build,
+    Run,
+    Render,
+}
+
+thread_local! {
+    /// The legs timed on this thread since [`timed`] last reset them.
+    static LEGS: Cell<ExecLegs> = const {
+        Cell::new(ExecLegs { db_parse_ns: 0, build_ns: 0, run_ns: 0, render_ns: 0 })
+    };
+}
+
+/// Runs `f`, adding its wall time to this thread's `leg`. Laps never
+/// nest, so the legs of one job never count the same time twice.
+pub(crate) fn lap<T>(leg: Leg, f: impl FnOnce() -> T) -> T {
+    let started = Instant::now();
+    let out = f();
+    let ns = started.elapsed().as_nanos() as u64;
+    LEGS.with(|legs| {
+        let mut sum = legs.get();
+        *match leg {
+            Leg::DbParse => &mut sum.db_parse_ns,
+            Leg::Build => &mut sum.build_ns,
+            Leg::Run => &mut sum.run_ns,
+            Leg::Render => &mut sum.render_ns,
+        } += ns;
+        legs.set(sum);
+    });
+    out
+}
+
+/// Runs `f` and returns how its time split over the pipeline's legs:
+/// every step of a job run inside `f`, on this thread, timed.
+pub(crate) fn timed<T>(f: impl FnOnce() -> T) -> (T, ExecLegs) {
+    let outer = LEGS.with(|legs| legs.replace(ExecLegs::default()));
+    let out = f();
+    (out, LEGS.with(|legs| legs.replace(outer)))
+}
+
 /// Where a request's database text comes from.
 #[derive(Clone)]
 pub enum DbSource {
@@ -82,13 +153,13 @@ impl DbSource {
     /// the resident cap (callers with a streaming path check
     /// [`DatasetSnapshot::streams_from_disk`] first).
     pub fn text(&self) -> Result<Arc<str>, String> {
-        match self {
+        lap(Leg::DbParse, || match self {
             DbSource::Inline(text) => Ok(Arc::clone(text)),
             DbSource::Dataset(snapshot) => snapshot.text(),
             DbSource::Named(name) => Err(format!(
                 "internal: dataset '{name}' reached execution unresolved"
             )),
-        }
+        })
     }
 }
 
@@ -489,20 +560,22 @@ enum Rows {
 impl Rows {
     /// Parses `text` in `mode`'s line format.
     fn parse(mode: Mode, text: &str) -> Result<(Alphabet, Rows), String> {
-        Ok(match mode {
-            Mode::Plain | Mode::String => {
-                let (alphabet, rows) = SequenceDb::parse(text).into_parts();
-                (alphabet, Rows::Plain(rows))
-            }
-            Mode::Itemset => {
-                let (alphabet, rows) = seqhide_data::io::parse_itemset_db(text);
-                (alphabet, Rows::Itemset(rows))
-            }
-            Mode::Timed => {
-                let (alphabet, rows) =
-                    seqhide_data::io::parse_timed_db(text).map_err(|e| e.to_string())?;
-                (alphabet, Rows::Timed(rows))
-            }
+        lap(Leg::DbParse, || {
+            Ok(match mode {
+                Mode::Plain | Mode::String => {
+                    let (alphabet, rows) = SequenceDb::parse(text).into_parts();
+                    (alphabet, Rows::Plain(rows))
+                }
+                Mode::Itemset => {
+                    let (alphabet, rows) = seqhide_data::io::parse_itemset_db(text);
+                    (alphabet, Rows::Itemset(rows))
+                }
+                Mode::Timed => {
+                    let (alphabet, rows) =
+                        seqhide_data::io::parse_timed_db(text).map_err(|e| e.to_string())?;
+                    (alphabet, Rows::Timed(rows))
+                }
+            })
         })
     }
 
@@ -615,8 +688,10 @@ pub fn run(job: &JobSpec, text: impl AsRef<str>) -> Result<Resident, String> {
     }
     let sanitizer = job.sanitizer();
     let mut passes = Vec::new();
-    for patterns in job.compile(&mut alphabet)? {
-        let report = patterns.visit(job, Sanitize(&sanitizer, &mut rows));
+    for patterns in lap(Leg::Build, || job.compile(&mut alphabet))? {
+        let report = lap(Leg::Run, || {
+            patterns.visit(job, Sanitize(&sanitizer, &mut rows))
+        });
         if !report.hidden {
             return Err(not_hidden(patterns.family()));
         }
@@ -741,7 +816,7 @@ impl Resident {
     /// The wire outcome: counters summed over the passes, residual
     /// supports listed pass by pass.
     pub fn into_outcome(self) -> SanitizeOutcome {
-        let release = self.text();
+        let release = lap(Leg::Render, || self.text());
         outcome(self.passes.iter().map(|(_, r)| r), release)
     }
 }
@@ -804,13 +879,13 @@ pub fn run_streaming(
         while reader.next_record(codec, alphabet)?.is_some() {}
         Ok(())
     }
-    match job.mode {
+    lap(Leg::DbParse, || match job.mode {
         Mode::Itemset => intern_all(&ItemsetCodec, open, &mut alphabet),
         Mode::String => intern_all(&PlainCodec, open, &mut alphabet),
         Mode::Plain | Mode::Timed => Ok(()),
-    }
+    })
     .map_err(io_err)?;
-    let patterns = job.compile(&mut alphabet)?.remove(0);
+    let patterns = lap(Leg::Build, || job.compile(&mut alphabet))?.remove(0);
 
     struct Stream<'a>(
         Sanitizer,
@@ -837,7 +912,7 @@ pub fn run_streaming(
         }
     }
     let stream = Stream(job.sanitizer(), open, &mut alphabet, batch_size, sink);
-    let report = patterns.visit(job, stream).map_err(io_err)?;
+    let report = lap(Leg::Run, || patterns.visit(job, stream)).map_err(io_err)?;
     if !report.report.hidden {
         return Err(not_hidden(patterns.family()));
     }
@@ -898,7 +973,7 @@ impl DeltaJob {
         }
         let (mut alphabet, rows) = Rows::parse(job.mode, text.as_ref())?;
         drop(text);
-        let patterns = job.compile(&mut alphabet)?.remove(0);
+        let patterns = lap(Leg::Build, || job.compile(&mut alphabet))?.remove(0);
         let warm = warm.filter(|_| matches!(patterns, Patterns::Plain(_)));
 
         struct Build(Sanitizer, Rows, Option<(SupporterIndex<Sat64>, Vec<usize>)>);
@@ -926,7 +1001,9 @@ impl DeltaJob {
                 })
             }
         }
-        let state = patterns.visit(job, Build(job.sanitizer(), rows, warm));
+        let state = lap(Leg::Build, || {
+            patterns.visit(job, Build(job.sanitizer(), rows, warm))
+        });
         Ok(DeltaJob {
             job: job.clone(),
             alphabet,
@@ -966,7 +1043,7 @@ impl DeltaJob {
             }
         }
         let apply = Apply(&mut *self.state, &mut self.alphabet, add, remove);
-        self.patterns.visit(&self.job, apply)
+        lap(Leg::Run, || self.patterns.visit(&self.job, apply))
     }
 
     /// Writes the current originals (`released: false`) or release.
@@ -999,7 +1076,7 @@ impl DeltaJob {
 
     /// [`DeltaJob::write`] as text.
     pub fn text(&mut self, released: bool) -> String {
-        to_text(|out| self.write(released, out))
+        lap(Leg::Render, || to_text(|out| self.write(released, out)))
     }
 
     /// The plain-pattern state, for persisting its supporter index —
@@ -1082,8 +1159,7 @@ pub fn sanitize(spec: &SanitizeSpec) -> Result<SanitizeOutcome, String> {
             let source = format!("dataset '{}'", snapshot.name());
             let mut out = ShardWriter::new(std::env::temp_dir(), STREAM_SPILL_BYTES);
             let streamed = run_streaming(&spec.job, &open, &source, STREAM_BATCH_SEQS, &mut out)?;
-            let release = out
-                .finish_to_string()
+            let release = lap(Leg::Render, || out.finish_to_string())
                 .map_err(|e| format!("{source}: {e}"))?;
             return Ok(outcome(std::iter::once(&streamed.report.report), release));
         }
@@ -1122,16 +1198,18 @@ pub fn verify(spec: &VerifySpec) -> Result<VerifyOutcome, String> {
         return Err("give at least one pattern".to_string());
     }
     let text = spec.db.text()?;
-    let mut db = SequenceDb::parse(&text);
+    let mut db = lap(Leg::DbParse, || SequenceDb::parse(&text));
     drop(text);
-    let Patterns::Plain(sh) = job.compile(db.alphabet_mut())?.remove(0) else {
+    let Patterns::Plain(sh) = lap(Leg::Build, || job.compile(db.alphabet_mut()))?.remove(0) else {
         return Err("verify checks plain patterns".to_string());
     };
-    let report = seqhide_core::verify_hidden(&db, &sh, job.psi);
+    let report = lap(Leg::Run, || seqhide_core::verify_hidden(&db, &sh, job.psi));
     Ok(VerifyOutcome {
         hidden: report.hidden,
         supports: report.supports,
-        patterns: sh.iter().map(|p| p.render(db.alphabet())).collect(),
+        patterns: lap(Leg::Render, || {
+            sh.iter().map(|p| p.render(db.alphabet())).collect()
+        }),
     })
 }
 
@@ -1184,7 +1262,7 @@ pub fn stats(db: &DbSource, mode: Mode) -> Result<StatsOutcome, String> {
     if let DbSource::Dataset(snapshot) = db {
         if snapshot.streams_from_disk() {
             return match mode {
-                Mode::Plain | Mode::String => stats_plain_streamed(snapshot),
+                Mode::Plain | Mode::String => lap(Leg::Run, || stats_plain_streamed(snapshot)),
                 _ => Err(format!(
                     "dataset '{}' is over the resident cap and served from disk; \
                      only plain-format stats can stream it",
@@ -1194,7 +1272,12 @@ pub fn stats(db: &DbSource, mode: Mode) -> Result<StatsOutcome, String> {
         }
     }
     let (alphabet, rows) = Rows::parse(mode, &db.text()?)?;
-    Ok(match rows {
+    Ok(lap(Leg::Run, || stats_of(alphabet, rows)))
+}
+
+/// The shape summary of parsed rows.
+fn stats_of(alphabet: Alphabet, rows: Rows) -> StatsOutcome {
+    match rows {
         // String mode shares the plain line format, so its shape
         // summary is the plain one.
         Rows::Plain(rows) => {
@@ -1225,7 +1308,7 @@ pub fn stats(db: &DbSource, mode: Mode) -> Result<StatsOutcome, String> {
             alphabet: alphabet.len(),
             marks: rows.iter().map(TimedSequence::mark_count).sum(),
         },
-    })
+    }
 }
 
 /// Plain-format stats streamed over a disk-backed dataset: one pass,

@@ -74,6 +74,7 @@ pub(crate) fn run_metrics_listener(listener: TcpListener, shared: &Arc<Shared>) 
 /// Serves one request on one connection, then closes it.
 fn handle(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut request_line = String::new();
     let mut head_budget = MAX_HEAD_BYTES as u64;
@@ -171,11 +172,11 @@ fn respond(mut stream: TcpStream, code: u16, content_type: &str, body: &str) -> 
         405 => "Method Not Allowed",
         _ => "Error",
     };
-    write!(
-        stream,
+    // Head and body in one buffer and one write, like the NDJSON frames.
+    let response = format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
-    stream.flush()
+    );
+    stream.write_all(response.as_bytes())
 }

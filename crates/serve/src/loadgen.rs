@@ -13,21 +13,28 @@
 //! Latency is recorded client-side into [`HistStat`] values (the same
 //! log2 buckets and quantile estimator as the server's telemetry), so
 //! the p50/p95/p99 in `BENCH_serve.json` are directly comparable to
-//! the server's `serve_request_nanos` histogram.
+//! the server's `serve_request_nanos` histogram. Each reply's `timings`
+//! object is read too, so the report splits the round trip into the
+//! server's layers and what none of them covers (`unaccounted_ns`: the
+//! client round trip minus the server's total — transport, framing and
+//! thread hand-offs).
+//!
+//! Clients set `TCP_NODELAY` and send each request frame in one write,
+//! as the server does its replies.
 //!
 //! Everything here is std-only and deterministic given `seed`: the
 //! per-client RNG is an inline splitmix64 (the serve crate carries no
 //! rand dependency), and the synthetic workload database comes from
 //! `seqhide_data::markov_db`.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use seqhide_obs::HistStat;
 
-use crate::json::Json;
+use crate::json::{self, Json};
+use crate::protocol::{self, connect};
 
 /// Load-generation parameters.
 #[derive(Clone, Debug)]
@@ -154,6 +161,9 @@ pub struct LoadReport {
     pub delta_latency: HistStat,
     /// Per-template request counts, mix order (heaviest first).
     pub mix: Vec<TemplateCount>,
+    /// Server layers and unaccounted time of the replies that carried
+    /// `timings`.
+    pub layers: Layers,
     /// Per-tenant breakdown (empty in single-tenant runs).
     pub tenants: Vec<TenantLoad>,
     /// Jain's fairness index over the **light** tenants' `ok`
@@ -228,6 +238,7 @@ impl LoadReport {
         let _ = writeln!(out, "    \"p99\": {},", self.delta_latency.quantile(0.99));
         let _ = writeln!(out, "    \"max\": {}", self.delta_latency.max);
         let _ = writeln!(out, "  }},");
+        self.layers.write_json(&mut out);
         // The per-tenant section appears only in multi-tenant runs, so
         // single-tenant BENCH_serve.json documents are unchanged.
         if !self.tenants.is_empty() {
@@ -264,6 +275,107 @@ impl LoadReport {
         out.push_str("  ]\n}\n");
         out
     }
+}
+
+/// The `timings` keys the report splits the round trip into: the four
+/// top-level legs first (their sum is the server's total), then the
+/// split of `sanitize_ns`.
+const LAYER_KEYS: [&str; 9] = [
+    "parse_ns",
+    "queue_wait_ns",
+    "sanitize_ns",
+    "serialize_ns",
+    "db_parse_ns",
+    "build_ns",
+    "run_ns",
+    "render_ns",
+    "other_ns",
+];
+
+/// How many leading [`LAYER_KEYS`] add up to the server's total.
+const SERVER_TOTAL_KEYS: usize = 4;
+
+/// Per-request samples of the replies that carried `timings`, in
+/// nanoseconds: the client round trip, each `timings` leg, and the
+/// round trip minus the server's total. Kept exact (not bucketed), so
+/// a layer's quantile never exceeds the round trip's.
+#[derive(Clone, Debug, Default)]
+pub struct Layers {
+    /// Client round trips.
+    rtt_ns: Vec<u64>,
+    /// One column per [`LAYER_KEYS`] entry.
+    layer_ns: [Vec<u64>; LAYER_KEYS.len()],
+    /// Round trip minus parse + queue wait + execution + serialize.
+    unaccounted_ns: Vec<u64>,
+}
+
+impl Layers {
+    /// Records one reply: its round trip and, when the line carries a
+    /// `timings` object, the server's layers. Replies without one
+    /// (control requests, refusals) are skipped.
+    fn record(&mut self, rtt_ns: u64, line: &str) {
+        let Some(timings) = reply_timings(line) else {
+            return;
+        };
+        let ns = LAYER_KEYS.map(|key| timings.get(key).and_then(Json::as_u64).unwrap_or(0));
+        let server: u64 = ns[..SERVER_TOTAL_KEYS].iter().sum();
+        self.rtt_ns.push(rtt_ns);
+        self.unaccounted_ns.push(rtt_ns.saturating_sub(server));
+        for (column, v) in self.layer_ns.iter_mut().zip(ns) {
+            column.push(v);
+        }
+    }
+
+    fn merge(&mut self, other: Layers) {
+        self.rtt_ns.extend(other.rtt_ns);
+        self.unaccounted_ns.extend(other.unaccounted_ns);
+        for (column, more) in self.layer_ns.iter_mut().zip(other.layer_ns) {
+            column.extend(more);
+        }
+    }
+
+    /// The `layers` and `unaccounted_ns` sections of `BENCH_serve.json`.
+    fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let quantiles = |samples: &[u64]| {
+            let mut sorted = samples.to_vec();
+            sorted.sort_unstable();
+            format!(
+                "{{\"p50\": {}, \"p99\": {}}}",
+                nearest_rank(&sorted, 0.50),
+                nearest_rank(&sorted, 0.99)
+            )
+        };
+        let _ = writeln!(out, "  \"layers\": {{");
+        let _ = writeln!(out, "    \"count\": {},", self.rtt_ns.len());
+        let _ = write!(out, "    \"rtt_ns\": {}", quantiles(&self.rtt_ns));
+        for (key, column) in LAYER_KEYS.iter().zip(&self.layer_ns) {
+            let _ = write!(out, ",\n    \"{key}\": {}", quantiles(column));
+        }
+        let _ = writeln!(out, "\n  }},");
+        let _ = writeln!(
+            out,
+            "  \"unaccounted_ns\": {},",
+            quantiles(&self.unaccounted_ns)
+        );
+    }
+}
+
+/// The `q` quantile of ascending `sorted` by nearest rank (0 when empty).
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.max(1) - 1).copied().unwrap_or(0)
+}
+
+/// The `timings` object of a reply line. The server splices it in as the
+/// last member, and a key with a bare `"` cannot occur inside a JSON
+/// string, so the last match is it — found without parsing a
+/// multi-kilobyte release.
+fn reply_timings(line: &str) -> Option<Json> {
+    const KEY: &str = "\"timings\":";
+    let line = line.trim_end();
+    let at = line.rfind(KEY)? + KEY.len();
+    json::parse(line.get(at..line.len() - 1)?).ok()
 }
 
 /// splitmix64: tiny, well-mixed, std-only.
@@ -471,6 +583,7 @@ fn zipf_cumulative(n: usize) -> Vec<f64> {
 struct ClientStats {
     hist: HistStat,
     delta_hist: HistStat,
+    layers: Layers,
     ok: u64,
     overloaded: u64,
     quota: u64,
@@ -487,7 +600,7 @@ fn client_loop(
     deadline: Instant,
     seed: u64,
 ) -> Result<ClientStats, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let stream = connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("clone socket: {e}"))?;
@@ -496,6 +609,7 @@ fn client_loop(
     let mut stats = ClientStats {
         hist: HistStat::default(),
         delta_hist: HistStat::default(),
+        layers: Layers::default(),
         ok: 0,
         overloaded: 0,
         quota: 0,
@@ -514,10 +628,9 @@ fn client_loop(
                 cum.iter().position(|&c| u <= c).unwrap_or(cum.len() - 1)
             }
         };
-        let template = &templates[pick];
+        let frame = templates[pick].line.clone();
         let started = Instant::now();
-        writeln!(writer, "{}", template.line).map_err(|e| format!("send: {e}"))?;
-        writer.flush().map_err(|e| format!("send: {e}"))?;
+        protocol::write_frame(&mut writer, frame).map_err(|e| format!("send: {e}"))?;
         line.clear();
         let n = reader
             .read_line(&mut line)
@@ -531,6 +644,7 @@ fn client_loop(
         if delta.is_some_and(|(at, _)| at == pick) {
             stats.delta_hist.record(elapsed_ns);
         }
+        stats.layers.record(elapsed_ns, &line);
         stats.last_response = Some(now);
         stats.sent[pick] += 1;
         // Responses render `status` as one of a closed set; substring
@@ -554,7 +668,7 @@ fn client_loop(
 /// repeated runs against one server reuse the interned copy (whatever
 /// text it holds — replacing it is an explicit `unload` away).
 fn preload_dataset(addr: &str, name: &str, db: &str, tenant: Option<&str>) -> Result<(), String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let stream = connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("clone socket: {e}"))?;
@@ -567,8 +681,7 @@ fn preload_dataset(addr: &str, name: &str, db: &str, tenant: Option<&str>) -> Re
         fields.push(("tenant".to_string(), Json::Str(token.to_string())));
     }
     let request = Json::Obj(fields).render();
-    writeln!(writer, "{request}").map_err(|e| format!("load '{name}': {e}"))?;
-    writer.flush().map_err(|e| format!("load '{name}': {e}"))?;
+    protocol::write_frame(&mut writer, request).map_err(|e| format!("load '{name}': {e}"))?;
     let mut line = String::new();
     BufReader::new(stream)
         .read_line(&mut line)
@@ -719,6 +832,7 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadReport, String> {
                 sent: 0,
             })
             .collect(),
+        layers: Layers::default(),
         tenants: if multi {
             (0..options.tenants)
                 .map(|i| TenantLoad {
@@ -748,6 +862,7 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadReport, String> {
                 quota_total += stats.quota;
                 report.latency.merge(&stats.hist);
                 report.delta_latency.merge(&stats.delta_hist);
+                report.layers.merge(stats.layers);
                 for (slot, sent) in report.mix.iter_mut().zip(&stats.sent) {
                     slot.sent += sent;
                 }
@@ -911,6 +1026,7 @@ mod tests {
                 name: "plain-hh",
                 sent: 4,
             }],
+            layers: Layers::default(),
             tenants: Vec::new(),
             jain_fairness: 1.0,
         };
@@ -1004,6 +1120,7 @@ mod tests {
                 name: "plain-hh",
                 sent: 30,
             }],
+            layers: Layers::default(),
             tenants: vec![
                 TenantLoad {
                     token: "t0".to_string(),
@@ -1042,5 +1159,46 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    #[test]
+    fn layers_split_the_round_trip_and_report_the_rest_as_unaccounted() {
+        let mut layers = Layers::default();
+        // a release holding the key's text (escaped) must not fool the
+        // search for the spliced object
+        let reply = "{\"status\":\"ok\",\"release\":\"x \\\"timings\\\":{\\\"parse_ns\\\":9}\",\
+                     \"timings\":{\"req_id\":1,\"queue_wait_ns\":200,\"parse_ns\":100,\
+                     \"sanitize_ns\":1000,\"db_parse_ns\":300,\"build_ns\":100,\"run_ns\":400,\
+                     \"render_ns\":150,\"other_ns\":50,\"serialize_ns\":300}}\n";
+        layers.record(5_000, reply);
+        // replies without timings (health, refusals) are not attributed
+        layers.record(70, "{\"status\":\"ok\",\"type\":\"health\"}\n");
+        assert_eq!(layers.rtt_ns, [5_000]);
+        assert_eq!(layers.unaccounted_ns, [5_000 - 1_600]);
+        assert_eq!(layers.layer_ns[0], [100]);
+        assert_eq!(layers.layer_ns[8], [50]);
+
+        let mut out = String::new();
+        layers.write_json(&mut out);
+        let doc = crate::json::parse(&format!("{{{}}}", out.trim_end().trim_end_matches(',')))
+            .expect("the sections are JSON members");
+        let p50 = |section: &Json| section.get("p50").and_then(Json::as_u64).unwrap();
+        assert_eq!(p50(doc.get("unaccounted_ns").unwrap()), 3_400);
+        let section = doc.get("layers").unwrap();
+        assert_eq!(section.get("count").and_then(Json::as_u64), Some(1));
+        assert_eq!(p50(section.get("rtt_ns").unwrap()), 5_000);
+        for key in LAYER_KEYS {
+            assert!(section.get(key).is_some(), "missing layers.{key}");
+        }
+        assert_eq!(p50(section.get("sanitize_ns").unwrap()), 1_000);
+    }
+
+    #[test]
+    fn nearest_rank_quantiles_are_exact() {
+        let sorted: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&sorted, 0.50), 50);
+        assert_eq!(nearest_rank(&sorted, 0.99), 99);
+        assert_eq!(nearest_rank(&[7], 0.99), 7);
+        assert_eq!(nearest_rank(&[], 0.50), 0);
     }
 }

@@ -36,7 +36,15 @@
 //! database interned once can back any number of requests without
 //! being re-shipped on each one.
 //!
+//! Frames go out whole: [`write_frame`] sends a line and its `\n` in one
+//! `write_all`, and both ends set `TCP_NODELAY` ([`connect`] on the
+//! client side). A frame split over two writes on a Nagle socket holds
+//! its tail until the peer's delayed ACK, ~40 ms per round trip.
+//!
 //! The full specification with examples lives in `docs/SERVER.md`.
+
+use std::io::{self, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::delta::{DeltaOutcome, DeltaSpec};
 use crate::exec::{
@@ -720,6 +728,22 @@ pub fn ok_debug(id: &Option<Json>, recorded: u64, slowest: &[Trace]) -> String {
     )
 }
 
+/// Sends one frame: `line` and its terminating `\n` as one buffer in one
+/// `write_all`, so the frame never leaves as a body and a separate
+/// 1-byte tail.
+pub fn write_frame(out: &mut impl Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())
+}
+
+/// Connects to a serve instance with `TCP_NODELAY` set: the client half
+/// of the one-frame-one-write transport.
+pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 /// Splices a `timings` object into an already-rendered single-line
 /// JSON object response. Responses are rendered before the timings
 /// exist (serialization is itself one of the timed legs), so the
@@ -1269,6 +1293,7 @@ mod tests {
             parse_ns: 20,
             sanitize_ns: 30,
             serialize_ns: 40,
+            ..Default::default()
         };
         let spliced = with_timings(line, &timings.to_json(77));
         let doc = json::parse(&spliced).expect("spliced line stays valid JSON");
@@ -1449,5 +1474,40 @@ mod tests {
         assert!(doc.get("datasets").unwrap().as_array().unwrap()[0]
             .get("owner")
             .is_none());
+    }
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_sends_each_frame_in_one_write_ending_in_newline() {
+        let mut out = CountingWriter::default();
+        let frames = [
+            ok_shutdown(&Some(Json::num(1))),
+            error(&None, "x".repeat(100_000).as_str()),
+        ];
+        for (n, frame) in frames.iter().enumerate() {
+            let before = out.bytes.len();
+            write_frame(&mut out, frame.clone()).unwrap();
+            assert_eq!(out.writes, n + 1, "one write per frame");
+            let sent = &out.bytes[before..];
+            assert_eq!(sent.last(), Some(&b'\n'));
+            assert_eq!(&sent[..sent.len() - 1], frame.as_bytes());
+        }
     }
 }

@@ -44,7 +44,7 @@
 //! unblocked via `TcpStream::shutdown(Read)` on registered clones, and
 //! [`Server::run`] joins every thread before returning its summary.
 
-use std::io::{self, BufRead, BufReader, Read as _, Write};
+use std::io::{self, BufRead, BufReader, Read as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 
 use seqhide_obs::{self as obs, Counter, Gauge, Hist, Phase};
 
-use crate::delta::{DeltaSessions, DeltaSpec};
+use crate::delta::{DeltaOutcome, DeltaSessions, DeltaSpec};
 use crate::exec::{self, DbSource};
 use crate::http;
 use crate::json::Json;
@@ -447,73 +447,23 @@ fn worker_loop(shared: &Shared) {
             thread::sleep(Duration::from_millis(job.delay_ms));
         }
         job.trace.stamp(TraceEvent::ExecStart);
-        let response = match &job.work {
-            Work::Sanitize(spec) => {
-                let result = exec::sanitize(spec);
-                job.trace.stamp(TraceEvent::ExecEnd);
-                match result {
-                    Ok(outcome) => {
-                        let render_started = Instant::now();
-                        let line = protocol::ok_sanitize(&job.id, &outcome);
-                        let serialize_ns = render_started.elapsed().as_nanos() as u64;
-                        let timings = Timings::from_trace(&job.trace, serialize_ns);
-                        protocol::with_timings(line, &timings.to_json(job.trace.req_id))
-                    }
-                    Err(e) => protocol::error(&job.id, &e),
+        let (outcome, legs) = exec::timed(|| execute(shared, &job.work));
+        job.trace.stamp(TraceEvent::ExecEnd);
+        let response = match outcome {
+            Ok(outcome) => {
+                if let Outcome::Delta(delta) = &outcome {
+                    job.trace.dataset_version = Some(delta.version);
                 }
-            }
-            Work::Verify(spec) => {
-                let result = exec::verify(spec);
-                job.trace.stamp(TraceEvent::ExecEnd);
-                match result {
-                    Ok(outcome) => protocol::ok_verify(&job.id, &outcome),
-                    Err(e) => protocol::error(&job.id, &e),
-                }
-            }
-            Work::Stats { db, mode } => {
-                let result = exec::stats(db, *mode);
-                job.trace.stamp(TraceEvent::ExecEnd);
-                match result {
-                    Ok(outcome) => protocol::ok_stats(&job.id, &outcome),
-                    Err(e) => protocol::error(&job.id, &e),
-                }
-            }
-            Work::Delta(spec) => {
-                // A delta grows or shrinks the dataset in place; in
-                // multi-tenant mode the owner's pinned-bytes ledger is
-                // adjusted by the size change after the fact (the delta
-                // already applied, so the adjustment is unconditional —
-                // the hard gate is at `load` time).
-                let before = if shared.tenants.is_multi() {
-                    shared.registry.get(&spec.dataset).map(|s| s.bytes())
-                } else {
-                    None
+                let render_started = Instant::now();
+                let line = outcome.render(&job.id);
+                let serialize_ns = render_started.elapsed().as_nanos() as u64;
+                let timings = Timings {
+                    exec: legs,
+                    ..Timings::from_trace(&job.trace, serialize_ns)
                 };
-                let result = shared.deltas.execute(&shared.registry, spec);
-                job.trace.stamp(TraceEvent::ExecEnd);
-                match result {
-                    Ok(outcome) => {
-                        if let (Some(before), Some(after)) =
-                            (before, shared.registry.get(&spec.dataset))
-                        {
-                            let owner = after
-                                .owner()
-                                .and_then(|owner| shared.tenants.by_name(owner));
-                            if let Some(owner) = owner {
-                                let now = after.bytes();
-                                if now >= before {
-                                    owner.charge_pinned_unchecked(now - before);
-                                } else {
-                                    owner.credit_pinned(before - now);
-                                }
-                            }
-                        }
-                        job.trace.dataset_version = Some(outcome.version);
-                        protocol::ok_delta(&job.id, &outcome)
-                    }
-                    Err(e) => protocol::error(&job.id, &e),
-                }
+                protocol::with_timings(line, &timings.to_json(job.trace.req_id))
             }
+            Err(e) => protocol::error(&job.id, &e),
         };
         shared.executed.fetch_add(1, Ordering::SeqCst);
         shared
@@ -530,10 +480,69 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
+/// What an executed job produced, before rendering.
+enum Outcome {
+    Sanitize(exec::SanitizeOutcome),
+    Verify(exec::VerifyOutcome),
+    Stats(exec::StatsOutcome),
+    Delta(DeltaOutcome),
+}
+
+impl Outcome {
+    /// The `ok` response line (without `timings`).
+    fn render(&self, id: &Option<Json>) -> String {
+        match self {
+            Outcome::Sanitize(o) => protocol::ok_sanitize(id, o),
+            Outcome::Verify(o) => protocol::ok_verify(id, o),
+            Outcome::Stats(o) => protocol::ok_stats(id, o),
+            Outcome::Delta(o) => protocol::ok_delta(id, o),
+        }
+    }
+}
+
+/// Executes one job on the calling worker.
+fn execute(shared: &Shared, work: &Work) -> Result<Outcome, String> {
+    match work {
+        Work::Sanitize(spec) => exec::sanitize(spec).map(Outcome::Sanitize),
+        Work::Verify(spec) => exec::verify(spec).map(Outcome::Verify),
+        Work::Stats { db, mode } => exec::stats(db, *mode).map(Outcome::Stats),
+        Work::Delta(spec) => {
+            // A delta grows or shrinks the dataset in place; in
+            // multi-tenant mode the owner's pinned-bytes ledger is
+            // adjusted by the size change after the fact (the delta
+            // already applied, so the adjustment is unconditional —
+            // the hard gate is at `load` time).
+            let before = if shared.tenants.is_multi() {
+                shared.registry.get(&spec.dataset).map(|s| s.bytes())
+            } else {
+                None
+            };
+            let outcome = shared.deltas.execute(&shared.registry, spec)?;
+            if let (Some(before), Some(after)) = (before, shared.registry.get(&spec.dataset)) {
+                let owner = after
+                    .owner()
+                    .and_then(|owner| shared.tenants.by_name(owner));
+                if let Some(owner) = owner {
+                    let now = after.bytes();
+                    if now >= before {
+                        owner.charge_pinned_unchecked(now - before);
+                    } else {
+                        owner.credit_pinned(before - now);
+                    }
+                }
+            }
+            Ok(Outcome::Delta(outcome))
+        }
+    }
+}
+
 /// Connection thread body: registers the socket for drain-time
 /// unblocking, serves it, and deregisters on the way out so the
 /// registry only ever holds live connections.
 fn handle_connection(shared: &Shared, stream: TcpStream) {
+    // Replies leave as one write each; without this, Nagle would still
+    // hold a reply's last segment until the client ACKs the previous one.
+    let _ = stream.set_nodelay(true);
     let registered = stream
         .try_clone()
         .ok()
@@ -597,7 +606,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                     &None,
                     &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 );
-                let _ = writeln!(stream, "{response}").and_then(|()| stream.flush());
+                let _ = protocol::write_frame(&mut stream, response);
                 return;
             }
             Ok(LineRead::Eof) | Err(_) => return,
@@ -606,10 +615,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             shared.requests.fetch_add(1, Ordering::SeqCst);
             obs::counter_add(Counter::ServeRequests, 1);
             let response = protocol::error(&None, "request line is not valid UTF-8");
-            if writeln!(stream, "{response}")
-                .and_then(|()| stream.flush())
-                .is_err()
-            {
+            if protocol::write_frame(&mut stream, response).is_err() {
                 return;
             }
             continue;
@@ -639,7 +645,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 }
             },
         };
-        let written = writeln!(stream, "{response}").and_then(|()| stream.flush());
+        let written = protocol::write_frame(&mut stream, response);
         let total_ns = trace.stamp(TraceEvent::ResponseWritten);
         obs::hist_record(Hist::ServeRequestNanos, total_ns);
         shared.slow.record(trace);
@@ -991,7 +997,7 @@ fn submit(
 mod tests {
     use super::*;
     use crate::json;
-    use std::io::BufRead;
+    use std::io::{BufRead, Write};
 
     fn start(workers: usize, queue_depth: usize) -> (SocketAddr, thread::JoinHandle<ServeSummary>) {
         let server = Server::bind(&ServeOptions {

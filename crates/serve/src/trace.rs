@@ -1,6 +1,7 @@
 //! Per-request trace journal: request ids, a fixed-schema event
-//! timeline, the `timings` breakdown returned in sanitize responses,
-//! and the bounded ring of slowest requests behind the `debug` wire op.
+//! timeline, the `timings` breakdown returned in every executed job's
+//! response, and the bounded ring of slowest requests behind the `debug`
+//! wire op.
 //!
 //! Every request gets a [`Trace`] the moment its line is framed: a
 //! server-unique id plus monotonic nanosecond timestamps (relative to
@@ -11,13 +12,14 @@
 //! the final event and feed the completed trace to the [`SlowRing`].
 //!
 //! Timing itself is unconditional (plain `Instant` arithmetic — it is
-//! how the `timings` field in sanitize responses is produced, obs-on or
+//! how the `timings` field in job responses is produced, obs-on or
 //! obs-off). Only the *retention* is feature-gated: without the `obs`
 //! feature the ring is a no-op type, completed traces are dropped on
 //! the spot, and `debug` reports an empty journal.
 
 use std::time::Instant;
 
+use crate::exec::ExecLegs;
 use crate::json::Json;
 
 /// How many of the slowest requests the journal retains.
@@ -173,16 +175,20 @@ impl Trace {
     }
 }
 
-/// The `timings` breakdown carried by every successful `sanitize`
-/// response (all fields in nanoseconds).
+/// The `timings` breakdown carried by every successful `sanitize`,
+/// `verify`, `stats` and `delta` response (all fields in nanoseconds).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Timings {
     /// Admitted → dequeued: time spent waiting in the bounded queue.
     pub queue_wait_ns: u64,
     /// Received → parsed: line decode.
     pub parse_ns: u64,
-    /// Exec start → exec end: the sanitization itself.
+    /// Exec start → exec end: executing the job (the name predates the
+    /// other ops; it times theirs too).
     pub sanitize_ns: u64,
+    /// `sanitize_ns` split by pipeline step; what the steps do not cover
+    /// is reported as `other_ns`.
+    pub exec: ExecLegs,
     /// Rendering the response payload (measured by the worker around
     /// response building; the spliced `timings` object itself is
     /// excluded — it cannot time its own rendering).
@@ -191,25 +197,44 @@ pub struct Timings {
 
 impl Timings {
     /// Derives the queue/parse/sanitize legs from a trace; `serialize`
-    /// is measured separately by the worker.
+    /// and the exec split are measured separately by the worker.
     pub fn from_trace(trace: &Trace, serialize_ns: u64) -> Timings {
         Timings {
             queue_wait_ns: trace.span(TraceEvent::Admitted, TraceEvent::Dequeued),
             parse_ns: trace.span(TraceEvent::Received, TraceEvent::Parsed),
             sanitize_ns: trace.span(TraceEvent::ExecStart, TraceEvent::ExecEnd),
+            exec: ExecLegs::default(),
             serialize_ns,
         }
     }
 
+    /// `sanitize_ns` not covered by the [`ExecLegs`]: dispatch, dataset
+    /// bookkeeping, a delta's registry write. With it, the legs sum to
+    /// `sanitize_ns` exactly.
+    pub fn other_ns(&self) -> u64 {
+        self.sanitize_ns.saturating_sub(self.exec.total_ns())
+    }
+
     /// The wire shape: `{"req_id": .., "queue_wait_ns": .., ...}`.
     pub fn to_json(&self, req_id: u64) -> Json {
-        Json::Obj(vec![
-            ("req_id".to_string(), Json::num(req_id)),
-            ("queue_wait_ns".to_string(), Json::num(self.queue_wait_ns)),
-            ("parse_ns".to_string(), Json::num(self.parse_ns)),
-            ("sanitize_ns".to_string(), Json::num(self.sanitize_ns)),
-            ("serialize_ns".to_string(), Json::num(self.serialize_ns)),
-        ])
+        let legs = &self.exec;
+        Json::Obj(
+            [
+                ("req_id", req_id),
+                ("queue_wait_ns", self.queue_wait_ns),
+                ("parse_ns", self.parse_ns),
+                ("sanitize_ns", self.sanitize_ns),
+                ("db_parse_ns", legs.db_parse_ns),
+                ("build_ns", legs.build_ns),
+                ("run_ns", legs.run_ns),
+                ("render_ns", legs.render_ns),
+                ("other_ns", self.other_ns()),
+                ("serialize_ns", self.serialize_ns),
+            ]
+            .into_iter()
+            .map(|(key, ns)| (key.to_string(), Json::num(ns)))
+            .collect(),
+        )
     }
 }
 
@@ -353,6 +378,28 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+    }
+
+    #[test]
+    fn exec_legs_and_other_sum_to_sanitize_ns() {
+        let timings = Timings {
+            sanitize_ns: 1_000,
+            exec: ExecLegs {
+                db_parse_ns: 100,
+                build_ns: 20,
+                run_ns: 700,
+                render_ns: 80,
+            },
+            ..Timings::default()
+        };
+        assert_eq!(timings.other_ns(), 100);
+        let doc = timings.to_json(3);
+        let ns = |k: &str| doc.get(k).and_then(Json::as_u64).unwrap();
+        let legs: u64 = ["db_parse_ns", "build_ns", "run_ns", "render_ns", "other_ns"]
+            .iter()
+            .map(|k| ns(k))
+            .sum();
+        assert_eq!(legs, ns("sanitize_ns"));
     }
 
     #[cfg(feature = "obs")]

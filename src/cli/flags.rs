@@ -12,6 +12,8 @@ use super::{err, CliError};
 /// a default.
 pub(crate) struct FlagSpec {
     pub(crate) command: &'static str,
+    /// One line for `seqhide <command> --help`.
+    summary: &'static str,
     valued: &'static [&'static str],
     boolean: &'static [&'static str],
 }
@@ -19,11 +21,13 @@ pub(crate) struct FlagSpec {
 pub(crate) const SPECS: &[FlagSpec] = &[
     FlagSpec {
         command: "stats",
+        summary: "summarise a sequence database",
         valued: &["db", "mode"],
         boolean: &[],
     },
     FlagSpec {
         command: "mine",
+        summary: "list frequent patterns F(D, σ)",
         valued: &[
             "db",
             "sigma",
@@ -40,6 +44,7 @@ pub(crate) const SPECS: &[FlagSpec] = &[
     },
     FlagSpec {
         command: "hide",
+        summary: "sanitize a database against sensitive patterns",
         valued: &[
             "db",
             "psi",
@@ -65,11 +70,13 @@ pub(crate) const SPECS: &[FlagSpec] = &[
     },
     FlagSpec {
         command: "verify",
+        summary: "check the hiding requirement on a released database",
         valued: &["db", "psi", "pattern", "min-gap", "max-gap", "max-window"],
         boolean: &[],
     },
     FlagSpec {
         command: "serve",
+        summary: "run the long-lived sanitization service (TCP, NDJSON)",
         valued: &[
             "addr",
             "threads",
@@ -84,6 +91,7 @@ pub(crate) const SPECS: &[FlagSpec] = &[
     },
     FlagSpec {
         command: "loadgen",
+        summary: "drive a serve instance with concurrent load and record BENCH_serve.json",
         valued: &[
             "addr",
             "clients",
@@ -102,11 +110,13 @@ pub(crate) const SPECS: &[FlagSpec] = &[
     },
     FlagSpec {
         command: "attack",
+        summary: "measure mark inference and pattern re-support on a release",
         valued: &["original", "released", "train", "pattern"],
         boolean: &[],
     },
     FlagSpec {
         command: "gen",
+        summary: "emit the calibrated TRUCKS-like / SYNTHETIC-like datasets",
         valued: &["dataset", "seed", "out"],
         boolean: &[],
     },
@@ -115,6 +125,23 @@ pub(crate) const SPECS: &[FlagSpec] = &[
 impl FlagSpec {
     pub(crate) fn for_command(command: &str) -> Option<&'static FlagSpec> {
         SPECS.iter().find(|s| s.command == command)
+    }
+
+    /// `seqhide <command> --help`: the summary and every flag this table
+    /// accepts.
+    pub(crate) fn help(&self) -> String {
+        let mut out = format!(
+            "seqhide {} — {}\n\nUSAGE:\n  seqhide {} [FLAGS]\n\nFLAGS:\n",
+            self.command, self.summary, self.command
+        );
+        for flag in self.valued {
+            out.push_str(&format!("  --{flag} VALUE\n"));
+        }
+        for flag in self.boolean {
+            out.push_str(&format!("  --{flag}\n"));
+        }
+        out.push_str("\nFormats, defaults and examples: 'seqhide help'.\n");
+        out
     }
 
     fn knows(&self, name: &str) -> Option<bool> {

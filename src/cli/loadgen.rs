@@ -9,11 +9,11 @@
 //! a `shutdown` request after the run so scripted pipelines (CI's
 //! serve-load-smoke job) can drain the server without a second tool.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::time::Duration;
 
 use seqhide_serve::loadgen::{run, LoadgenOptions};
+use seqhide_serve::protocol;
 
 use super::flags::Flags;
 use super::{err, CliError};
@@ -138,7 +138,7 @@ pub(crate) fn cmd_loadgen(flags: &Flags) -> Result<String, CliError> {
 /// server would otherwise keep running after "successful" shutdown.
 fn send_shutdown(addr: &str, tenant: Option<&str>) -> Result<(), CliError> {
     let stream =
-        TcpStream::connect(addr).map_err(|e| err(format!("shutdown: connect {addr}: {e}")))?;
+        protocol::connect(addr).map_err(|e| err(format!("shutdown: connect {addr}: {e}")))?;
     let mut writer = stream
         .try_clone()
         .map_err(|e| err(format!("shutdown: {e}")))?;
@@ -146,8 +146,7 @@ fn send_shutdown(addr: &str, tenant: Option<&str>) -> Result<(), CliError> {
         Some(token) => format!(r#"{{"type":"shutdown","tenant":"{token}"}}"#),
         None => r#"{"type":"shutdown"}"#.to_string(),
     };
-    writeln!(writer, "{request}").map_err(|e| err(format!("shutdown: {e}")))?;
-    writer.flush().map_err(|e| err(format!("shutdown: {e}")))?;
+    protocol::write_frame(&mut writer, request).map_err(|e| err(format!("shutdown: {e}")))?;
     let mut line = String::new();
     BufReader::new(stream)
         .read_line(&mut line)

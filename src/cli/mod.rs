@@ -83,6 +83,7 @@ USAGE:
                  (--pattern \"a b\")...
   seqhide gen    --dataset trucks|synthetic [--seed S] --out FILE
   seqhide help | --version
+  seqhide COMMAND --help     the command's flags
 
 FORMATS (one sequence per line; '#' comments; marks render as Δ):
   plain    whitespace-separated symbols:      login search checkout
@@ -235,6 +236,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some(spec) = FlagSpec::for_command(command) else {
         return Err(unknown_command_error(command));
     };
+    if args[1..].iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(spec.help());
+    }
     let flags = Flags::parse(&args[1..], spec)?;
     if flags.has("progress") && !obs::is_enabled() {
         eprintln!("[seqhide] --progress: instrumentation compiled out (obs feature off)");

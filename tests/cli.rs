@@ -1380,3 +1380,27 @@ fn timed_gaps_are_validated_like_index_gaps() {
         assert!(e.0.contains("max_gap must be ≥ min_gap"), "{extra:?}: {e}");
     }
 }
+
+#[test]
+fn every_subcommand_answers_help_with_its_flags() {
+    let usage = run(&[]).unwrap();
+    let commands: Vec<&str> = usage
+        .lines()
+        .filter_map(|l| l.strip_prefix("  seqhide "))
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|c| c.chars().all(|ch| ch.is_ascii_lowercase()) && *c != "help")
+        .collect();
+    assert!(commands.len() >= 8, "{commands:?}");
+    for command in commands {
+        for flag in ["--help", "-h"] {
+            let out = run(&args(&[command, flag]))
+                .unwrap_or_else(|e| panic!("seqhide {command} {flag}: {e}"));
+            assert!(out.starts_with(&format!("seqhide {command} — ")), "{out}");
+            assert!(out.contains("FLAGS:\n  --"), "{command}: {out}");
+        }
+    }
+    // help wins wherever it appears among the flags
+    let out = run(&args(&["serve", "--addr", "127.0.0.1:0", "--help"])).unwrap();
+    assert!(out.contains("--queue-depth VALUE"), "{out}");
+    assert!(out.contains("--progress\n"), "{out}");
+}

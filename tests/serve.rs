@@ -1880,3 +1880,79 @@ fn cli_delta_release_is_byte_identical_to_served_delta() {
     send_one(addr, r#"{"type":"shutdown"}"#);
     handle.join().unwrap();
 }
+
+/// The transport contract: a client that sets `TCP_NODELAY` and sends
+/// each frame in one write gets each reply without a delayed-ACK stall.
+/// When a reply left as body plus a separate `"\n"` on a Nagle socket,
+/// every round trip here waited ~40 ms for the tail.
+#[test]
+fn sequential_requests_on_one_connection_do_not_stall() {
+    use seqhide::serve::protocol;
+    let (addr, handle) = start(1, 4);
+    let stream = protocol::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let request = r#"{"type":"stats","db":"a b c\nb c\n","mode":"plain"}"#;
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        protocol::write_frame(&mut writer, request.to_string()).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let resp = json::parse(line.trim_end()).expect("response is JSON");
+        assert_eq!(resp.get("sequences").and_then(Json::as_u64), Some(2));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "20 sequential stats round trips took {elapsed:?}"
+    );
+    send_one(addr, r#"{"type":"shutdown"}"#);
+    handle.join().unwrap();
+}
+
+/// Every executed job reports where its time went: `verify`, `stats`
+/// and `delta` replies carry `timings` like `sanitize` does, and the
+/// split of the execution leg adds up to it exactly.
+#[test]
+fn every_job_reply_carries_timings_whose_exec_split_sums_exactly() {
+    let (addr, handle) = start(1, 4);
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut stream = stream;
+    let db = "a b c\nb a c\na c\nc a b\n";
+    let loaded = send_on(&mut stream, &mut reader, &load_request("t", db));
+    assert_eq!(loaded.get("status").and_then(Json::as_str), Some("ok"));
+    let requests = [
+        r#"{"type":"sanitize","dataset":"t","patterns":["a c"],"psi":1}"#,
+        r#"{"type":"verify","dataset":"t","patterns":["a c"],"psi":1}"#,
+        r#"{"type":"stats","dataset":"t","mode":"plain"}"#,
+        r#"{"type":"delta","dataset":"t","add":["a c a"],"remove":[0],"patterns":["a c"],"psi":1,"release":true}"#,
+        r#"{"type":"stats","db":"a@1 b@2\n","mode":"timed"}"#,
+    ];
+    for request in requests {
+        let resp = send_on(&mut stream, &mut reader, request);
+        assert_eq!(
+            resp.get("status").and_then(Json::as_str),
+            Some("ok"),
+            "{request}: {resp:?}"
+        );
+        let timings = resp.get("timings").expect("timings object");
+        let ns = |key: &str| {
+            timings
+                .get(key)
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("{request}: no {key} in {timings:?}"))
+        };
+        for key in ["req_id", "queue_wait_ns", "parse_ns", "serialize_ns"] {
+            ns(key);
+        }
+        let split: u64 = ["db_parse_ns", "build_ns", "run_ns", "render_ns", "other_ns"]
+            .iter()
+            .map(|key| ns(key))
+            .sum();
+        assert_eq!(split, ns("sanitize_ns"), "{request}: {timings:?}");
+        assert!(ns("run_ns") > 0, "{request}: the run leg was not timed");
+    }
+    send_one(addr, r#"{"type":"shutdown"}"#);
+    handle.join().unwrap();
+}
